@@ -2,9 +2,9 @@
 
 Three operational capabilities built on Olympian's predictability:
 
-1. **SLO admission control** — estimate a request's completion time
-   from its offline profile and the current load; reject fast instead
-   of missing slow.
+1. **SLO admission control** — the admission gate estimates a
+   request's completion time from its offline profile and the current
+   load; it rejects fast instead of missing slow.
 2. **Profile drift detection** — watch delivered per-quantum GPU
    durations; a stale profile (device clock changed, model updated)
    shows up as quanta diverging from Q.
@@ -26,9 +26,15 @@ from repro.core import (
     ProfileStore,
     QuantumMonitor,
 )
-from repro.serving import Client, ModelServer, ServerConfig
+from repro.serving import (
+    AdmissionConfig,
+    AdmissionGate,
+    Client,
+    ModelServer,
+    ServerConfig,
+)
 from repro.sim import Simulator
-from repro.slo import FairShareEstimator, SloAdmissionController
+from repro.slo import FairShareEstimator
 from repro.zoo import INCEPTION_V4, generate_graph
 
 QUANTUM = 1.2e-3
@@ -58,27 +64,33 @@ def main():
     sim, server, scheduler = build_stack(store)
     server.load_model(graph)
     estimator = FairShareEstimator(store, overhead=0.05, host_fraction=0.2)
-    controller = SloAdmissionController(server, estimator)
+    # Only the SLO check rejects here: the concurrency ceiling never binds.
+    gate = AdmissionGate(
+        AdmissionConfig(max_active=12, defer=False), estimator=estimator
+    ).attach(server)
     slo = 4 * profile.gpu_duration
+    admitted = []
 
     def burst():
         for i in range(12):
             job = server.make_job(f"r{i}", graph.name, 100)
-            granted = controller.try_submit(job, slo=slo)
-            state = "admitted" if granted is not None else "REJECTED"
+            estimate = estimator.estimate_for(server, graph.name, 100)
+            decision = gate.submit(job, slo=slo)
+            if decision.action == "admit":
+                admitted.append(job)
+            state = "admitted" if decision.action == "admit" else "REJECTED"
             print(
                 f"t={sim.now * 1e3:7.1f} ms  request r{i}: {state} "
-                f"(estimate {controller.decisions[-1].estimate * 1e3:.0f} ms, "
-                f"SLO {slo * 1e3:.0f} ms)"
+                f"(estimate {estimate * 1e3:.0f} ms, SLO {slo * 1e3:.0f} ms)"
             )
             yield sim.timeout(profile.gpu_duration / 3)
 
     sim.process(burst())
     sim.run()
+    met = sum(1 for job in admitted if job.latency <= slo)
     print(
-        f"\nSLO attainment of admitted jobs: {controller.attainment():.0%} "
-        f"({controller.admitted_count} admitted, "
-        f"{controller.rejected_count} rejected)\n"
+        f"\nSLO attainment of admitted jobs: {met / len(admitted):.0%} "
+        f"({gate.admitted} admitted, {gate.rejected} rejected)\n"
     )
 
     # ------------------------------------------------------------------

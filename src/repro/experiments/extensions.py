@@ -36,6 +36,7 @@ from ..metrics.report import (
     format_seconds,
     render_table,
 )
+from ..serving.admission import AdmissionConfig, AdmissionGate
 from ..serving.client import Client
 from ..serving.failures import RetryPolicy
 from ..serving.server import ModelServer, ServerConfig
@@ -384,8 +385,10 @@ def slo_attainment(
     slo_multiplier: float = 5.0,
 ) -> SloResult:
     """Open-loop overload: TF-Serving and Olympian without admission
-    control versus Olympian + SLO admission (repro.slo)."""
-    from ..slo import FairShareEstimator, SloAdmissionController
+    control versus Olympian behind an :class:`AdmissionGate` whose
+    :class:`~repro.slo.FairShareEstimator` rejects hopeless SLOs (its
+    concurrency ceiling never binds and nothing is deferred)."""
+    from ..slo import FairShareEstimator
 
     graph = get_graph(INCEPTION_V4.name, scale, 1)
     config = ExperimentConfig(scale=scale, seed=seed, quantum=quantum)
@@ -413,15 +416,17 @@ def slo_attainment(
             scheduler=scheduler,
         )
         server.load_model(graph)
-        controller = None
+        gate = None
         if system == "fair+admission":
             estimator = FairShareEstimator(
                 output.store, overhead=0.05, host_fraction=0.2
             )
-            controller = SloAdmissionController(server, estimator)
+            gate = AdmissionGate(
+                AdmissionConfig(max_active=num_requests, defer=False),
+                estimator=estimator,
+            ).attach(server)
         rng = random.Random(derive_seed(seed, f"slo-arrivals"))
         outcomes: List[bool] = []
-        rejected_count = [0]
 
         def track(job, admitted_at, done):
             yield done
@@ -431,11 +436,11 @@ def slo_attainment(
             for index in range(num_requests):
                 yield sim.timeout(rng.expovariate(arrival_rate))
                 job = server.make_job(f"r{index}", graph.name, batch_size)
-                if controller is not None:
-                    done = controller.try_submit(job, slo=slo)
-                    if done is None:
-                        rejected_count[0] += 1
+                if gate is not None:
+                    decision = gate.submit(job, slo=slo)
+                    if decision.action == "reject":
                         continue
+                    done = decision.done
                 else:
                     done = server.submit(job)
                 sim.process(track(job, sim.now, done))
@@ -446,7 +451,7 @@ def slo_attainment(
         met = sum(outcomes)
         attainment[system] = met / completed if completed else 0.0
         goodput[system] = met
-        rejected[system] = rejected_count[0]
+        rejected[system] = gate.rejected if gate is not None else 0
 
     return SloResult(
         slo=slo,

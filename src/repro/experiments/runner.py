@@ -21,8 +21,9 @@ quantum stay realistic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..cluster.server import MultiGpuServer
 from ..core.policies import FairSharing, PriorityScheduling, WeightedFairSharing
 from ..core.policies_ext import (
     DeficitRoundRobin,
@@ -68,6 +69,7 @@ __all__ = [
     "ExperimentResult",
     "ServingStack",
     "build_stack",
+    "build_profiler_output",
     "get_graph",
     "get_profiler_output",
     "run_workload",
@@ -205,6 +207,27 @@ def get_profiler_output(
         if output is not None:
             _profile_cache[key] = output
             return output
+    output = build_profiler_output(entries, config, with_curves)
+    _profile_cache[key] = output
+    if disk_key is not None:
+        profile_cache.store(disk_key, output)
+    return output
+
+
+def build_profiler_output(
+    entries: Sequence[Tuple[str, int]],
+    config: ExperimentConfig,
+    with_curves: Optional[bool] = None,
+    graph_overrides: Optional[Mapping[str, Graph]] = None,
+) -> ProfilerOutput:
+    """Uncached profiler build behind :func:`get_profiler_output`.
+
+    ``graph_overrides`` profiles substituted graphs (the what-if
+    harness's perturbed cost models); such a build must never be keyed
+    as the canonical one, which is why this touches neither cache.
+    """
+    if with_curves is None:
+        with_curves = config.quantum is None
     profiler = OfflineProfiler(
         base_config=ServerConfig(
             gpu_spec=config.gpu_spec,
@@ -221,20 +244,26 @@ def get_profiler_output(
         curve_batches=config.curve_batches,
     )
     graph_entries = [
-        (get_graph(model, config.scale, config.graph_seed), batch)
+        (_model_graph(model, config, graph_overrides), batch)
         for model, batch in sorted(set(entries))
     ]
-    output = profiler.build(
+    return profiler.build(
         graph_entries,
         tolerance=config.tolerance,
         q_values=config.q_values,
         with_curves=with_curves,
         fixed_quantum=config.quantum,
     )
-    _profile_cache[key] = output
-    if disk_key is not None:
-        profile_cache.store(disk_key, output)
-    return output
+
+
+def _model_graph(
+    model: str,
+    config: ExperimentConfig,
+    graph_overrides: Optional[Mapping[str, Graph]],
+) -> Graph:
+    if graph_overrides is not None and model in graph_overrides:
+        return graph_overrides[model]
+    return get_graph(model, config.scale, config.graph_seed)
 
 
 def _make_scheduler(
@@ -322,13 +351,14 @@ class ServingStack:
     pipeline, drift monitor, loaded models — so the soak harness (and
     anything else that drives its own traffic) can build the exact
     stack experiments use and then attach an admission gate or job
-    journal on top.
+    journal on top.  ``server`` is a :class:`MultiGpuServer` front
+    (and ``scheduler`` is ``None``) when the stack spans several GPUs.
     """
 
     scheduler_kind: str
     config: ExperimentConfig
     sim: Simulator
-    server: ModelServer
+    server: Union[ModelServer, MultiGpuServer]
     scheduler: Optional[GangScheduler]
     profiler_output: Optional[ProfilerOutput]
     injector: Optional[FaultInjector]
@@ -354,17 +384,31 @@ def build_stack(
     on_snapshot: Optional[Callable] = None,
     recovery: Optional[RecoveryConfig] = None,
     graph_overrides: Optional[Mapping[str, Graph]] = None,
+    gpus: int = 1,
 ) -> ServingStack:
     """Build the simulated serving stack for ``(model, batch)`` entries.
 
     This performs exactly the construction sequence ``run_workload``
     always has — same seam order, same derived seeds — so a stack built
     here behaves bit-identically to one built inside an experiment.
+
+    ``gpus > 1`` builds a :class:`~repro.cluster.MultiGpuServer` front
+    instead: one worker per device, each with its own scheduler of the
+    same kind, behind least-loaded placement.  The fault plan lands on
+    worker 0 and recovery supervises the front, failing work over to
+    the surviving devices; ``ServingStack.scheduler`` is then ``None``.
+    Telemetry and drift monitoring need a single-GPU stack.
     """
     config = config or ExperimentConfig()
     if scheduler not in ALL_SCHEDULER_KINDS:
         raise ValueError(
             f"unknown scheduler kind {scheduler!r}; choose from {ALL_SCHEDULER_KINDS}"
+        )
+    telemetry_config = telemetry if telemetry is not None else config.telemetry
+    if gpus != 1 and (telemetry_config is not None or monitor):
+        raise ValueError(
+            "telemetry and drift monitoring need a single-GPU stack "
+            f"(gpus={gpus})"
         )
     entries = sorted(set(entries))
     needs_profiles = scheduler not in ("tf-serving", "timer") or (
@@ -374,7 +418,6 @@ def build_stack(
         profiler_output = get_profiler_output(entries, config)
 
     sim = Simulator()
-    gang_scheduler = _make_scheduler(scheduler, sim, config, profiler_output)
     server_config = ServerConfig(
         gpu_spec=config.gpu_spec,
         n_cores=config.n_cores,
@@ -384,21 +427,35 @@ def build_stack(
         seed=derive_seed(config.seed, f"run:{scheduler}"),
         streams=config.streams,
     )
-    server = ModelServer(sim, server_config, scheduler=gang_scheduler)
-    if isinstance(gang_scheduler, SpatioTemporalScheduler):
-        # The multi-stream engine consults the scheduler for per-job
-        # concurrency bounds (and reports kernel starts to its
-        # invariant checker).
-        server.device.allocator = gang_scheduler
+    if gpus == 1:
+        gang_scheduler = _make_scheduler(scheduler, sim, config, profiler_output)
+        server = ModelServer(sim, server_config, scheduler=gang_scheduler)
+        workers = [server]
+    else:
+        gang_scheduler = None
+        server = MultiGpuServer(
+            sim,
+            gpus,
+            config=server_config,
+            scheduler_factory=lambda sim_, _worker: _make_scheduler(
+                scheduler, sim_, config, profiler_output
+            ),
+        )
+        workers = [worker.server for worker in server.workers]
+    for worker in workers:
+        if isinstance(worker.scheduler, SpatioTemporalScheduler):
+            # The multi-stream engine consults the scheduler for per-job
+            # concurrency bounds (and reports kernel starts to its
+            # invariant checker).
+            worker.device.allocator = worker.scheduler
     injector = None
     if fault_plan is not None:
         injector = FaultInjector(fault_plan)
-        injector.attach(server)
+        injector.attach(workers[0])
     recovery_config = recovery if recovery is not None else config.recovery
     manager = None
     if recovery_config is not None:
         manager = RecoveryManager(recovery_config).attach(server)
-    telemetry_config = telemetry if telemetry is not None else config.telemetry
     pipeline = None
     if telemetry_config is not None:
         pipeline = Telemetry(telemetry_config)
@@ -416,11 +473,10 @@ def build_stack(
         if pipeline is not None:
             pipeline.attach_monitor(monitor_obj)
     for model in sorted({model for model, _ in entries}):
-        if graph_overrides is not None and model in graph_overrides:
-            graph = graph_overrides[model]
-        else:
-            graph = get_graph(model, config.scale, config.graph_seed)
-        server.load_model(graph, memory_mb=MODEL_REGISTRY[model].memory_mb)
+        server.load_model(
+            _model_graph(model, config, graph_overrides),
+            memory_mb=MODEL_REGISTRY[model].memory_mb,
+        )
 
     return ServingStack(
         scheduler_kind=scheduler,

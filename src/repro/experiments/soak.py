@@ -34,19 +34,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..cluster.server import MultiGpuServer
 from ..durability import JobStore, resume_plan
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan, FaultSpec
-from ..recovery import (
-    BreakerConfig,
-    BrownoutConfig,
-    RecoveryConfig,
-    RecoveryManager,
-)
+from ..recovery import BreakerConfig, BrownoutConfig, RecoveryConfig
 from ..serving.admission import AdmissionConfig, AdmissionGate
-from ..serving.server import ServerConfig
-from ..sim.core import Simulator
 from ..sim.rng import derive_seed
 from ..workloads.traffic import (
     ModelMix,
@@ -56,13 +47,7 @@ from ..workloads.traffic import (
     drive,
 )
 from ..zoo.catalog import MODEL_REGISTRY
-from .runner import (
-    ExperimentConfig,
-    _make_scheduler,
-    build_stack,
-    get_graph,
-    get_profiler_output,
-)
+from .runner import ExperimentConfig, build_stack
 
 __all__ = ["SoakConfig", "SoakRun", "SoakResult", "run_soak"]
 
@@ -286,58 +271,6 @@ class SoakResult:
         return "\n".join(lines)
 
 
-def _build_front(
-    config: SoakConfig,
-    kind: str,
-    experiment: ExperimentConfig,
-    plan: Optional[FaultPlan],
-):
-    """One incarnation's serving stack: (sim, front, scheduler-or-None)."""
-    entries = sorted({(m.model, m.batch_size) for m in config.mix})
-    if config.gpus == 1:
-        stack = build_stack(
-            entries,
-            scheduler=kind,
-            config=experiment,
-            fault_plan=plan,
-            recovery=config.recovery_config(),
-        )
-        return stack.sim, stack.server, stack.scheduler
-    # Multi-GPU front: one worker stack per device behind least-loaded
-    # placement, each with its own scheduler of the same kind.
-    profiler_output = None
-    if kind != "tf-serving":
-        profiler_output = get_profiler_output(entries, experiment)
-    sim = Simulator()
-
-    def factory(sim_, server_):
-        return _make_scheduler(kind, sim_, experiment, profiler_output)
-
-    front = MultiGpuServer(
-        sim,
-        config.gpus,
-        config=ServerConfig(
-            gpu_spec=experiment.gpu_spec,
-            n_cores=experiment.n_cores,
-            pool_size=experiment.pool_size,
-            seed=derive_seed(experiment.seed, f"run:{kind}"),
-        ),
-        scheduler_factory=factory,
-    )
-    for model, _batch in entries:
-        graph = get_graph(model, experiment.scale, experiment.graph_seed)
-        if graph.name not in front.model_names:
-            front.load_model(
-                graph, memory_mb=MODEL_REGISTRY[model].memory_mb
-            )
-    RecoveryManager(config.recovery_config()).attach(front)
-    if plan is not None:
-        # Faults land on worker 0; recovery fails the work over to the
-        # surviving devices.
-        FaultInjector(plan).attach(front.workers[0].server)
-    return sim, front, None
-
-
 def _run_one(config: SoakConfig, kind: str) -> SoakRun:
     engine = TrafficEngine(
         config.traffic_config(), seed=derive_seed(config.seed, f"soak:{kind}")
@@ -367,7 +300,15 @@ def _run_one(config: SoakConfig, kind: str) -> SoakRun:
             seed=derive_seed(config.seed, f"soak-run:{kind}:{incarnation}"),
             quantum=config.quantum,
         )
-        sim, front, scheduler = _build_front(config, kind, experiment, plan)
+        stack = build_stack(
+            engine.entries(),
+            scheduler=kind,
+            config=experiment,
+            fault_plan=plan,
+            recovery=config.recovery_config(),
+            gpus=config.gpus,
+        )
+        sim, front, scheduler = stack.sim, stack.server, stack.scheduler
         gate = AdmissionGate(config.admission_config()).attach(front)
 
         def journal_outcome(request_id: str, outcome: Any, status: str):

@@ -23,23 +23,28 @@ scheduler.
 
 Perturbed runs never touch the shared graph/profile caches: graphs are
 substituted through ``run_workload(graph_overrides=...)`` and profiles
-are rebuilt directly with :class:`~repro.core.profiler.OfflineProfiler`.
+are rebuilt by the uncached
+:func:`~repro.experiments.runner.build_profiler_output`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.blame import blame_report, exact_percentile
-from ..core.profiler import OfflineProfiler, ProfilerOutput
+from ..core.profiler import ProfilerOutput
 from ..graph.graph import Graph
 from ..graph.node import DurationModel, Node
-from ..serving.server import ServerConfig
 from ..telemetry import TelemetryConfig
 from ..telemetry.attribution import RequestAttribution, attribute_tracer
 from ..workloads.scenarios import ClientSpec
-from .runner import ExperimentConfig, get_graph, run_workload
+from .runner import (
+    ExperimentConfig,
+    build_profiler_output,
+    get_graph,
+    run_workload,
+)
 
 __all__ = [
     "WHATIF_SCHEMA_VERSION",
@@ -147,46 +152,6 @@ def predicted_latencies(
     return predicted
 
 
-def _build_profiles(
-    entries: Sequence[Tuple[str, int]],
-    config: ExperimentConfig,
-    graphs: Mapping[str, Graph],
-    fixed_quantum: float,
-) -> ProfilerOutput:
-    """Uncached profile build against perturbed graphs.
-
-    Mirrors ``get_profiler_output`` minus both caches — a perturbed
-    cost model must never be keyed as the canonical one.
-    """
-    profiler = OfflineProfiler(
-        base_config=ServerConfig(
-            gpu_spec=config.gpu_spec,
-            n_cores=config.n_cores,
-            pool_size=config.pool_size,
-            track_memory=False,
-            streams=1,
-        ),
-        seed=config.profile_seed,
-        wake_latency=config.wake_latency,
-        curve_batches=config.curve_batches,
-    )
-    graph_entries = [
-        (
-            graphs.get(model)
-            or get_graph(model, config.scale, config.graph_seed),
-            batch,
-        )
-        for model, batch in sorted(set(entries))
-    ]
-    return profiler.build(
-        graph_entries,
-        tolerance=config.tolerance,
-        q_values=config.q_values,
-        with_curves=False,
-        fixed_quantum=fixed_quantum,
-    )
-
-
 def _stats_of(attributions: Sequence[RequestAttribution]) -> Dict[str, float]:
     served = [a.e2e for a in attributions if a.status == "ok"]
     return {
@@ -255,11 +220,11 @@ def run_whatif(
                 )
             }
             if profiler_output is not None:
-                profiler_output = _build_profiles(
+                # A set quantum implies no curves and a fixed Q.
+                profiler_output = build_profiler_output(
                     entries,
-                    run_config,
-                    overrides,
-                    fixed_quantum=profiler_output.quantum,
+                    dc_replace(run_config, quantum=profiler_output.quantum),
+                    graph_overrides=overrides,
                 )
         result = run_workload(
             specs,

@@ -32,8 +32,8 @@ exactly like telemetry and recovery).
 
 Layering: the gate sits *above* :class:`repro.recovery`'s brownout —
 it folds the brownout ceiling into its own, so a gated submit never
-reaches the recovery layer's shedding path — and *beside*
-:mod:`repro.slo` admission: pass any object with
+reaches the recovery layer's shedding path.  It is also the only SLO
+admission controller: pass any object with
 ``estimate_for(server, model, batch)`` (e.g. a
 :class:`~repro.slo.estimator.FairShareEstimator`) to get predictive
 SLO-hopeless rejection on top of the load thresholds.
@@ -113,14 +113,16 @@ class Decision:
 class _Deferred:
     """One parked request (per-tenant priority queue entry)."""
 
-    __slots__ = ("job", "tenant", "slo", "order", "outer")
+    __slots__ = ("job", "tenant", "slo", "order", "outer", "enqueued_at")
 
-    def __init__(self, job: Job, tenant: str, slo, order: int, outer):
+    def __init__(self, job: Job, tenant: str, slo, order: int, outer,
+                 enqueued_at: float):
         self.job = job
         self.tenant = tenant
         self.slo = slo
         self.order = order
         self.outer = outer
+        self.enqueued_at = enqueued_at
 
 
 class AdmissionGate:
@@ -248,6 +250,8 @@ class AdmissionGate:
         slo: Optional[float] = None,
     ) -> Decision:
         """Decide, act, and return the typed outcome for ``job``."""
+        if slo is not None and slo <= 0:
+            raise ValueError(f"SLO must be positive: {slo}")
         config = self.config
 
         remaining = self._breaker_block(job.model_name)
@@ -336,7 +340,7 @@ class AdmissionGate:
         self, job: Job, tenant: str, slo: Optional[float]
     ) -> Decision:
         outer = self.sim.event()
-        entry = _Deferred(job, tenant, slo, self._order, outer)
+        entry = _Deferred(job, tenant, slo, self._order, outer, self.sim.now)
         self._order += 1
         self._queues.setdefault(tenant, []).append(entry)
         self._pending_total += 1
@@ -427,7 +431,7 @@ class AdmissionGate:
                 "admission.dispatch",
                 job_id=entry.job.job_id,
                 tenant=entry.tenant,
-                waited=self.sim.now,
+                waited=self.sim.now - entry.enqueued_at,
                 pending=self._pending_total,
             )
             self.sim.process(

@@ -1,15 +1,11 @@
-"""SLO-aware serving: latency estimation and admission control.
+"""SLO-aware serving: completion-time estimation for admission control.
 
 Built on Olympian's predictability — the capability the paper's
-introduction argues unpredictable GPU sharing forecloses.
+introduction argues unpredictable GPU sharing forecloses.  The
+estimator plugs into :class:`~repro.serving.admission.AdmissionGate`
+(``estimator=``), which rejects requests whose SLO is hopeless.
 """
 
-from .admission import AdmissionDecision, JobRejected, SloAdmissionController
 from .estimator import FairShareEstimator
 
-__all__ = [
-    "AdmissionDecision",
-    "JobRejected",
-    "SloAdmissionController",
-    "FairShareEstimator",
-]
+__all__ = ["FairShareEstimator"]

@@ -10,7 +10,7 @@ all.  No such estimate exists for stock TF-Serving, whose driver
 arbitration is arbitrary.
 
 :class:`FairShareEstimator` implements the bound used by the admission
-controller: a job needing ``D`` seconds of GPU, admitted alongside
+gate (:class:`~repro.serving.admission.AdmissionGate`): a job needing ``D`` seconds of GPU, admitted alongside
 ``N`` active jobs, finishes within ``D * (N + 1) * (1 + overhead)``
 plus its host-side tail — an upper bound, since competitors that finish
 early only speed things up.

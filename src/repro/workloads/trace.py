@@ -146,6 +146,68 @@ class RequestTrace:
 # and the soak harness both stream from these).  The wrappers draw in
 # exactly the same order, so traces are bit-identical to the historical
 # eager builders.
+#
+# The arrival-time loops below are shared with
+# :class:`~repro.workloads.traffic.TrafficEngine`; each caller seeds the
+# RNG under its own ``derive_seed`` namespace.
+
+
+def _poisson_times(
+    rng: random.Random, rate: float, horizon: float
+) -> Iterator[float]:
+    """Arrival instants of a Poisson process at ``rate``/s."""
+    t = 0.0
+    while True:
+        t += rng.expovariate(rate)
+        if t > horizon:
+            return
+        yield t
+
+
+def _diurnal_times(
+    rng: random.Random,
+    base_rate: float,
+    peak_rate: float,
+    period: float,
+    horizon: float,
+) -> Iterator[float]:
+    """Thinned-Poisson instants whose rate swings sinusoidally between
+    ``base_rate`` and ``peak_rate`` over ``period``, trough first."""
+    t = 0.0
+    while True:
+        t += rng.expovariate(peak_rate)
+        if t > horizon:
+            return
+        phase = math.sin(2 * math.pi * t / period - math.pi / 2)  # trough first
+        rate = base_rate + (peak_rate - base_rate) * (phase + 1) / 2
+        if rng.random() <= rate / peak_rate:
+            yield t
+
+
+def _bursty_times(
+    rng: random.Random,
+    burst_rate: float,
+    idle_rate: float,
+    mean_burst: float,
+    mean_idle: float,
+    horizon: float,
+) -> Iterator[float]:
+    """Two-state on/off (MMPP-2) instants, starting in a burst."""
+    t = 0.0
+    bursting = True
+    phase_end = rng.expovariate(1.0 / mean_burst)
+    while t < horizon:
+        rate = burst_rate if bursting else idle_rate
+        if rate <= 0:
+            t = phase_end
+        else:
+            t += rng.expovariate(rate)
+            if t <= min(phase_end, horizon):
+                yield t
+        if t >= phase_end:
+            bursting = not bursting
+            mean = mean_burst if bursting else mean_idle
+            phase_end = t + rng.expovariate(1.0 / mean)
 
 
 def iter_poisson(
@@ -160,11 +222,7 @@ def iter_poisson(
     if rate <= 0 or duration <= 0:
         raise ValueError("rate and duration must be positive")
     rng = random.Random(derive_seed(seed, "trace:poisson"))
-    t = 0.0
-    while True:
-        t += rng.expovariate(rate)
-        if t > duration:
-            return
+    for t in _poisson_times(rng, rate, duration):
         yield TraceRequest(t, model, batch_size, slo)
 
 
@@ -199,15 +257,8 @@ def iter_diurnal(
         raise ValueError("duration must be positive")
     period = period if period is not None else duration
     rng = random.Random(derive_seed(seed, "trace:diurnal"))
-    t = 0.0
-    while True:
-        t += rng.expovariate(peak_rate)
-        if t > duration:
-            return
-        phase = math.sin(2 * math.pi * t / period - math.pi / 2)  # trough first
-        rate = base_rate + (peak_rate - base_rate) * (phase + 1) / 2
-        if rng.random() <= rate / peak_rate:
-            yield TraceRequest(t, model, batch_size, slo)
+    for t in _diurnal_times(rng, base_rate, peak_rate, period, duration):
+        yield TraceRequest(t, model, batch_size, slo)
 
 
 def diurnal_trace(
@@ -253,21 +304,10 @@ def iter_bursty(
     if mean_burst <= 0 or mean_idle <= 0 or duration <= 0:
         raise ValueError("durations must be positive")
     rng = random.Random(derive_seed(seed, "trace:bursty"))
-    t = 0.0
-    bursting = True
-    phase_end = rng.expovariate(1.0 / mean_burst)
-    while t < duration:
-        rate = burst_rate if bursting else idle_rate
-        if rate <= 0:
-            t = phase_end
-        else:
-            t += rng.expovariate(rate)
-            if t <= min(phase_end, duration):
-                yield TraceRequest(t, model, batch_size, slo)
-        if t >= phase_end:
-            bursting = not bursting
-            mean = mean_burst if bursting else mean_idle
-            phase_end = t + rng.expovariate(1.0 / mean)
+    for t in _bursty_times(
+        rng, burst_rate, idle_rate, mean_burst, mean_idle, duration
+    ):
+        yield TraceRequest(t, model, batch_size, slo)
 
 
 def bursty_trace(
@@ -323,7 +363,7 @@ def replay(
     sim: Simulator,
     server,
     trace: Iterable[TraceRequest],
-    admission_controller=None,
+    gate=None,
 ) -> ReplayOutcome:
     """Replay ``trace`` against ``server``; returns the outcome.
 
@@ -333,8 +373,11 @@ def replay(
     :class:`RequestTrace` or any (possibly lazy) iterable of
     time-ordered :class:`TraceRequest` — the driver pulls requests one
     at a time, so an ``iter_*`` generator streams without ever being
-    materialised.  With an ``admission_controller`` (:mod:`repro.slo`),
-    requests carrying an SLO go through admission.  The caller runs
+    materialised.  With a ``gate`` (an attached
+    :class:`~repro.serving.admission.AdmissionGate`, as in
+    :func:`~repro.workloads.traffic.drive`) every request goes through
+    admission, carrying its SLO for the gate's estimator check;
+    rejected requests are counted, not served.  The caller runs
     ``sim.run()`` afterwards.
     """
     outcome = ReplayOutcome(latencies=[], slo_hits=0, slo_misses=0, rejected=0)
@@ -358,13 +401,14 @@ def replay(
                 yield sim.timeout(delay)
             job = server.make_job(f"trace{index}", request.model,
                                   request.batch_size)
-            if admission_controller is not None and request.slo is not None:
-                done = admission_controller.try_submit(job, slo=request.slo)
-                if done is None:
+            if gate is None:
+                done = server.submit(job)
+            else:
+                decision = gate.submit(job, slo=request.slo)
+                if decision.action == "reject":
                     outcome.rejected += 1
                     continue
-            else:
-                done = server.submit(job)
+                job, done = decision.job, decision.done
             sim.process(track(request, job, done))
 
     sim.process(driver(), name="trace-replay")

@@ -7,9 +7,9 @@ coming whether or not the server keeps up, drawn from a population of
 millions of users spread over thousands of tenants.  This module
 models that population without ever materialising it:
 
-* Arrival **times** come from the same three processes as
+* Arrival **times** come from the same three generators as
   :mod:`repro.workloads.trace` (steady Poisson, diurnal thinning,
-  bursty MMPP-2), generated lazily.
+  bursty MMPP-2), seeded under this module's own namespace.
 * **Who** arrives is drawn per event from heavy-tailed (Zipf-like)
   popularity over tenants and over each tenant's user space, via an
   O(1) inverse-CDF transform — no per-user or per-tenant state exists
@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..sim.core import Simulator
 from ..sim.rng import derive_seed
+from .trace import _bursty_times, _diurnal_times, _poisson_times
 
 __all__ = [
     "ModelMix",
@@ -200,46 +201,24 @@ class TrafficEngine:
         )
         duration = config.duration
         horizon = math.inf if duration is None else duration
-        t = 0.0
         if config.process == "poisson":
-            while True:
-                t += rng.expovariate(config.rate)
-                if t > horizon:
-                    return
-                yield t
-        elif config.process == "diurnal":
-            base = config.rate
-            peak = config.rate * config.peak_ratio
+            return _poisson_times(rng, config.rate, horizon)
+        if config.process == "diurnal":
             period = config.period
             if period is None:
                 period = duration if duration is not None else 1.0
-            while True:
-                t += rng.expovariate(peak)
-                if t > horizon:
-                    return
-                phase = math.sin(2 * math.pi * t / period - math.pi / 2)
-                rate = base + (peak - base) * (phase + 1) / 2
-                if rng.random() <= rate / peak:
-                    yield t
-        else:  # bursty (MMPP-2)
-            burst = config.rate * config.burst_ratio
-            idle = config.rate * config.idle_ratio
-            bursting = True
-            phase_end = rng.expovariate(1.0 / config.mean_burst)
-            while t < horizon:
-                rate = burst if bursting else idle
-                if rate <= 0:
-                    t = phase_end
-                else:
-                    t += rng.expovariate(rate)
-                    if t <= min(phase_end, horizon):
-                        yield t
-                if t >= phase_end:
-                    bursting = not bursting
-                    mean = (
-                        config.mean_burst if bursting else config.mean_idle
-                    )
-                    phase_end = t + rng.expovariate(1.0 / mean)
+            return _diurnal_times(
+                rng, config.rate, config.rate * config.peak_ratio, period,
+                horizon,
+            )
+        return _bursty_times(
+            rng,
+            config.rate * config.burst_ratio,
+            config.rate * config.idle_ratio,
+            config.mean_burst,
+            config.mean_idle,
+            horizon,
+        )
 
     def arrivals(self, limit: Optional[int] = None) -> Iterator[Arrival]:
         """Lazily yield :class:`Arrival` records in time order.

@@ -27,6 +27,16 @@ from repro.experiments import SoakConfig, run_soak
 # over a million-user population (lazily generated).
 QUICK = dict(duration=0.3, rate=40.0, kills=(0.12,), device_crashes=(0.06,))
 
+# Quick-shape soak digests, pinned so that a refactor of the stack
+# builder, the gate or the arrival generators cannot move a decision.
+PINNED_SOAK_DIGESTS = {
+    0: "9226409a986ca1d42e6b7cde184d6b3954d43d1ce4a84f9ce9a184eab49d3e4f",
+    11: "3207a81e601d826411a7e4dfa9cc53c7344a66b2f7487e142c9805965e815a77",
+}
+PINNED_MULTI_GPU_DIGEST = (
+    "b5236176d6b805c497905a08f8db1802d3fa2dd05875faa1ebdd6d83d7ad9a61"
+)
+
 
 class TestSoakDeterminism:
     @pytest.mark.parametrize("seed", [0, 11])
@@ -36,6 +46,7 @@ class TestSoakDeterminism:
         assert first.ok, first.violations
         assert first.to_json() == second.to_json()
         assert first.soak_digest() == second.soak_digest()
+        assert first.soak_digest() == PINNED_SOAK_DIGESTS[seed]
 
     def test_resume_digest_is_seed_stable(self):
         first = run_soak(SoakConfig.quick(seed=3))
@@ -73,6 +84,7 @@ class TestNoJobLost:
     def test_multi_gpu_front(self):
         result = run_soak(SoakConfig.quick(seed=2, gpus=2))
         assert result.ok, result.violations
+        assert result.soak_digest() == PINNED_MULTI_GPU_DIGEST
 
 
 class TestLossFreeAccounting:

@@ -311,3 +311,28 @@ class TestTelemetry:
             "reject:queue-full": 1,
         }
         assert rollup["admission_dispatches"] == 1
+
+    def test_dispatch_reports_time_spent_parked(self):
+        stack, gate = _gated(
+            AdmissionConfig(max_active=1, headroom=1.0),
+            telemetry=TelemetryConfig(keep_events=True),
+        )
+        sim = stack.sim
+        parked_at = 0.01
+        decisions = []
+
+        def arrive():
+            yield sim.timeout(parked_at)
+            for client in ("c0", "c1"):
+                job = stack.server.make_job(client, "alexnet", 4)
+                decisions.append(gate.submit(job).action)
+
+        sim.process(arrive())
+        sim.run()
+        assert decisions == ["admit", "defer"]
+        [dispatch] = [
+            event for event in stack.telemetry.events
+            if event.kind == "admission.dispatch"
+        ]
+        assert dispatch.time > parked_at
+        assert dispatch.attrs["waited"] == dispatch.time - parked_at

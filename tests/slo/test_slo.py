@@ -1,4 +1,4 @@
-"""Tests for the SLO estimator and admission controller."""
+"""Tests for the SLO estimator and the gate's predictive SLO check."""
 
 import pytest
 
@@ -9,9 +9,9 @@ from repro.core import (
     ProfileStore,
 )
 from repro.graph import CostModel
-from repro.serving import ModelServer, ServerConfig
+from repro.serving import AdmissionConfig, AdmissionGate, ModelServer, ServerConfig
 from repro.sim import Simulator
-from repro.slo import FairShareEstimator, JobRejected, SloAdmissionController
+from repro.slo import FairShareEstimator
 
 
 @pytest.fixture
@@ -30,8 +30,11 @@ def stack(tiny_graph):
     server.load_model(tiny_graph)
     # overhead matches the Overhead-Q curve at the operating Q=0.5ms
     estimator = FairShareEstimator(store, overhead=0.10, host_fraction=0.20)
-    controller = SloAdmissionController(server, estimator)
-    return sim, server, controller, estimator, profile
+    # A ceiling that never binds: only the estimator rejects.
+    gate = AdmissionGate(
+        AdmissionConfig(max_active=64, defer=False), estimator=estimator
+    ).attach(server)
+    return sim, server, gate, estimator, profile
 
 
 class TestEstimator:
@@ -79,74 +82,87 @@ class TestEstimator:
 
 class TestAdmission:
     def test_admits_when_slo_attainable(self, stack, tiny_graph):
-        sim, server, controller, _, profile = stack
+        sim, server, gate, _, profile = stack
         job = server.make_job("c", tiny_graph.name, 100)
-        done = controller.try_submit(job, slo=profile.gpu_duration * 3)
-        assert done is not None
+        slo = profile.gpu_duration * 3
+        decision = gate.submit(job, slo=slo)
+        assert decision.action == "admit"
         sim.run()
-        assert controller.attainment() == 1.0
-        assert controller.goodput() == 1
+        assert job.latency <= slo
 
     def test_rejects_hopeless_slo(self, stack, tiny_graph):
-        _, server, controller, _, profile = stack
+        _, server, gate, _, profile = stack
         job = server.make_job("c", tiny_graph.name, 100)
-        done = controller.try_submit(job, slo=profile.gpu_duration / 100)
-        assert done is None
-        assert controller.rejected_count == 1
-        assert controller.admitted_count == 0
+        decision = gate.submit(job, slo=profile.gpu_duration / 100)
+        assert decision.action == "reject"
+        assert decision.reason == "slo-hopeless"
+        assert gate.rejected == 1
+        assert gate.admitted == 0
 
-    def test_submit_raises_on_rejection(self, stack, tiny_graph):
-        _, server, controller, _, profile = stack
+    def test_rejected_job_never_reaches_server(self, stack, tiny_graph):
+        sim, server, gate, _, profile = stack
         job = server.make_job("c", tiny_graph.name, 100)
-        with pytest.raises(JobRejected):
-            controller.submit(job, slo=profile.gpu_duration / 100)
+        decision = gate.submit(job, slo=profile.gpu_duration / 100)
+        assert decision.done is None
+        assert server.active_jobs == 0
+        sim.run()
+        assert job.submitted_at is None
+        assert job.latency is None
+
+    def test_no_slo_skips_the_estimator(self, stack, tiny_graph):
+        """Without an SLO there is nothing to miss: only load decides."""
+        sim, server, gate, _, _ = stack
+        job = server.make_job("c", tiny_graph.name, 100)
+        decision = gate.submit(job)
+        assert (decision.action, decision.reason) == ("admit", "headroom-ok")
+        sim.run()
+        assert job.latency is not None
 
     def test_load_dependent_rejection(self, stack, tiny_graph):
         """An SLO attainable when idle is rejected under load."""
-        sim, server, controller, _, profile = stack
+        sim, server, gate, _, profile = stack
         slo = profile.gpu_duration * 2.1
         first = server.make_job("a", tiny_graph.name, 100)
-        assert controller.try_submit(first, slo=slo) is not None
+        assert gate.submit(first, slo=slo).action == "admit"
         # Second arrival while the first is active: share halves.
         second = server.make_job("b", tiny_graph.name, 100)
-        assert controller.try_submit(second, slo=slo) is None
+        assert gate.submit(second, slo=slo).reason == "slo-hopeless"
         sim.run()
-        assert controller.attainment() == 1.0
+        assert first.latency <= slo
 
     def test_decisions_logged(self, stack, tiny_graph):
-        sim, server, controller, _, profile = stack
-        job = server.make_job("c", tiny_graph.name, 100)
-        controller.try_submit(job, slo=profile.gpu_duration * 3)
-        decision = controller.decisions[0]
-        assert decision.admitted
-        assert decision.job_id == job.job_id
-        assert decision.estimate > 0
+        sim, server, gate, _, profile = stack
+        attainable = server.make_job("a", tiny_graph.name, 100)
+        gate.submit(attainable, slo=profile.gpu_duration * 3)
+        hopeless = server.make_job("b", tiny_graph.name, 100)
+        gate.submit(hopeless, slo=profile.gpu_duration / 100)
+        assert gate.decisions_by_reason() == {
+            "admit:headroom-ok": 1,
+            "reject:slo-hopeless": 1,
+        }
         sim.run()
 
     def test_slo_validation(self, stack, tiny_graph):
-        _, server, controller, _, _ = stack
+        _, server, gate, _, _ = stack
         job = server.make_job("c", tiny_graph.name, 100)
-        with pytest.raises(ValueError):
-            controller.try_submit(job, slo=0.0)
-
-    def test_attainment_requires_finished_jobs(self, stack, tiny_graph):
-        _, _, controller, _, _ = stack
-        with pytest.raises(ValueError):
-            controller.attainment()
+        with pytest.raises(ValueError, match="SLO must be positive"):
+            gate.submit(job, slo=0.0)
 
     def test_admitted_jobs_meet_slo_under_sustained_load(self, stack, tiny_graph):
-        """The controller's promise: whatever it admits, it delivers."""
-        sim, server, controller, _, profile = stack
+        """The gate's promise: whatever it admits, it delivers."""
+        sim, server, gate, _, profile = stack
         slo = profile.gpu_duration * 4
+        admitted = []
 
         def arrivals():
             for i in range(12):
                 job = server.make_job(f"r{i}", tiny_graph.name, 100)
-                controller.try_submit(job, slo=slo)
+                if gate.submit(job, slo=slo).action == "admit":
+                    admitted.append(job)
                 yield sim.timeout(profile.gpu_duration / 2)
 
         sim.process(arrivals())
         sim.run()
-        assert controller.admitted_count >= 3
-        assert controller.rejected_count >= 1
-        assert controller.attainment() == 1.0
+        assert len(admitted) >= 3
+        assert gate.rejected >= 1
+        assert all(job.latency <= slo for job in admitted)

@@ -1,5 +1,7 @@
 """Tests for trace-driven workloads: generation, persistence, replay."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -9,9 +11,9 @@ from repro.core import (
     ProfileStore,
 )
 from repro.graph import CostModel
-from repro.serving import ModelServer, ServerConfig
+from repro.serving import AdmissionConfig, AdmissionGate, ModelServer, ServerConfig
 from repro.sim import Simulator
-from repro.slo import FairShareEstimator, SloAdmissionController
+from repro.slo import FairShareEstimator
 from repro.workloads import (
     RequestTrace,
     TraceRequest,
@@ -23,6 +25,10 @@ from repro.workloads import (
     poisson_trace,
     replay,
 )
+
+
+def _stream_digest(requests):
+    return hashlib.sha256(repr(requests).encode()).hexdigest()
 
 
 class TestTraceRequest:
@@ -131,12 +137,14 @@ class TestReplay:
             sim, ServerConfig(track_memory=False, seed=3), scheduler=scheduler
         )
         server.load_model(tiny_graph)
-        controller = None
+        gate = None
         if with_admission:
-            controller = SloAdmissionController(
-                server, FairShareEstimator(store, overhead=0.1)
-            )
-        return sim, server, controller, profile
+            # Only the estimator rejects: the ceiling never binds.
+            gate = AdmissionGate(
+                AdmissionConfig(max_active=64, defer=False),
+                estimator=FairShareEstimator(store, overhead=0.1),
+            ).attach(server)
+        return sim, server, gate, profile
 
     def test_replay_completes_all_requests(self, tiny_graph):
         sim, server, _, _ = self._stack(tiny_graph)
@@ -157,7 +165,7 @@ class TestReplay:
         assert outcome.slo_attainment() > 0.9
 
     def test_replay_with_admission_rejects_overload(self, tiny_graph):
-        sim, server, controller, profile = self._stack(
+        sim, server, gate, profile = self._stack(
             tiny_graph, with_admission=True
         )
         # Overload: arrivals far faster than the device can serve.
@@ -165,7 +173,7 @@ class TestReplay:
         rate = 5.0 / profile.gpu_duration
         trace = poisson_trace(rate, profile.gpu_duration * 20,
                               tiny_graph.name, 100, seed=9, slo=slo)
-        outcome = replay(sim, server, trace, admission_controller=controller)
+        outcome = replay(sim, server, trace, gate=gate)
         sim.run()
         assert outcome.rejected > 0
         assert outcome.completed + outcome.rejected == len(trace)
@@ -185,20 +193,32 @@ class TestLazyIterators:
     memory regardless of stream length (the satellite audit of eager
     arrival materialisation)."""
 
+    # The streams' sha256 (over their repr) is pinned too, so a
+    # refactor of the shared time generators cannot move an arrival.
+
     def test_iter_poisson_matches_eager(self):
         eager = poisson_trace(50.0, 1.0, "m", 8, seed=3, slo=0.2)
         lazy = list(iter_poisson(50.0, 1.0, "m", 8, seed=3, slo=0.2))
         assert lazy == eager.requests
+        assert _stream_digest(lazy) == (
+            "82ad7eb9d58db2f430838c18c38ca58098257fd229dd492d66f08a6781e2a280"
+        )
 
     def test_iter_diurnal_matches_eager(self):
         eager = diurnal_trace(20.0, 80.0, 1.0, "m", 8, seed=4)
         lazy = list(iter_diurnal(20.0, 80.0, 1.0, "m", 8, seed=4))
         assert lazy == eager.requests
+        assert _stream_digest(lazy) == (
+            "d8bdbd21cde7ac300d131b0eee5a866ab48c1566affcb2820b1904c1f41978b9"
+        )
 
     def test_iter_bursty_matches_eager(self):
         eager = bursty_trace(100.0, 5.0, 0.05, 0.1, 1.0, "m", 8, seed=5)
         lazy = list(iter_bursty(100.0, 5.0, 0.05, 0.1, 1.0, "m", 8, seed=5))
         assert lazy == eager.requests
+        assert _stream_digest(lazy) == (
+            "26cb549e973156e8022ee07a31804db7544963300b488075d5ea5dea6614751e"
+        )
 
     def test_iterators_validate_like_eager(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The open-loop traffic engine: determinism, O(1) memory, shape."""
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -49,12 +50,24 @@ class TestConfigValidation:
 
 
 class TestDeterminism:
+    # sha256 over the repr of each process's first 500 arrivals from an
+    # unbounded stream: pins the arrival times the generators share with
+    # repro.workloads.trace, so a refactor cannot move one.
+    PINNED_ARRIVALS = {
+        "poisson": "7b5305afe48bcf672ce9252a0b401e7dc25790c9c11d608ffe518b69cdf7f81b",
+        "diurnal": "186a641d57913d6a2fc2b176765389b0c816777099eaf1c483d100c45270ceb2",
+        "bursty": "958f0108d4f256b01b41fb4a11c7d4986393745cc6e9f80138ccd77d6c03fdf6",
+    }
+
     @pytest.mark.parametrize("process", ["poisson", "diurnal", "bursty"])
     def test_same_seed_regenerates_identical_arrivals(self, process):
-        config = _config(process=process)
-        first = list(TrafficEngine(config, seed=7).arrivals(limit=200))
-        second = list(TrafficEngine(config, seed=7).arrivals(limit=200))
+        config = _config(process=process, duration=None)
+        first = list(TrafficEngine(config, seed=7).arrivals(limit=500))
+        second = list(TrafficEngine(config, seed=7).arrivals(limit=500))
         assert first == second
+        assert len(first) == 500
+        digest = hashlib.sha256(repr(first).encode()).hexdigest()
+        assert digest == self.PINNED_ARRIVALS[process]
 
     def test_reiteration_restarts_the_stream(self):
         engine = TrafficEngine(_config(), seed=3)
