@@ -14,12 +14,15 @@ quanta, and selects the quantum matching an operator-specified overhead
 tolerance (§3.3 "Determining Q").
 
 Everything here creates fresh, self-contained simulations, mirroring
-how the real profiler runs on an idle GPU.
+how the real profiler runs on an idle GPU.  That independence lets the
+Overhead-Q sweep's pair runs fan out over forked workers
+(:mod:`repro.core.fanout`) with byte-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
@@ -28,6 +31,7 @@ from ..serving.server import ModelServer, ServerConfig
 from ..sim.core import Simulator
 from ..sim.rng import derive_seed
 from .accounting import OlympianProfile, ProfileStore
+from .fanout import ordered_map, usable_cpus
 from .policies import FairSharing
 from .quantum import DEFAULT_Q_GRID, OverheadQCurve, select_quantum
 from .scheduler import DEFAULT_WAKE_LATENCY, OlympianScheduler
@@ -206,14 +210,60 @@ class OfflineProfiler:
         """Measure overhead vs quantum for one model (Figure 8)."""
         if profile is None:
             profile = self.profile_model(graph, batch_size, run_seed=run_seed)
-        store = ProfileStore()
-        store.add(profile)
-        baseline = self._run_pair(graph, batch_size, None, None, run_seed)
-        points = []
-        for q in q_values:
-            finish = self._run_pair(graph, batch_size, q, store, run_seed)
-            points.append((q, (finish - baseline) / baseline))
-        return OverheadQCurve(graph.name, batch_size, points)
+        (curve,) = self._overhead_q_curves(
+            [(graph, batch_size, profile)], q_values, run_seed
+        )
+        return curve
+
+    def _overhead_q_curves(
+        self,
+        entries: Sequence[Tuple[Graph, int, OlympianProfile]],
+        q_values: Sequence[float],
+        run_seed: int = 0,
+    ) -> List[OverheadQCurve]:
+        """One Overhead-Q curve per ``(graph, batch, profile)`` entry.
+
+        Every entry needs a baseline pair run plus one per quantum, and
+        each is an independent simulation under its entry's seed, so
+        the whole sweep is one flat task list mapped over forked
+        workers (:mod:`repro.core.fanout`) and merged in input order:
+        the curves are byte-identical to a serial sweep.
+        """
+        grid: Tuple[Optional[float], ...] = (None,) + tuple(q_values)
+        runs = []
+        for graph, batch_size, profile in entries:
+            store = ProfileStore()
+            store.add(profile)
+            runs.append((graph, batch_size, store))
+        # Tasks cross the pipe pickled, so they are (entry, quantum)
+        # indices; graphs and stores ride the forked callable instead.
+        tasks = [(index, q) for index in range(len(runs)) for q in grid]
+        finishes = ordered_map(
+            partial(self._sweep_task, runs, run_seed),
+            tasks,
+            processes=usable_cpus(),
+            method="fork",
+        )
+        curves = []
+        for index, (graph, batch_size, _store) in enumerate(runs):
+            start = index * len(grid)
+            baseline, *scheduled = finishes[start:start + len(grid)]
+            points = [
+                (q, (finish - baseline) / baseline)
+                for q, finish in zip(q_values, scheduled)
+            ]
+            curves.append(OverheadQCurve(graph.name, batch_size, points))
+        return curves
+
+    def _sweep_task(
+        self,
+        runs: Sequence[Tuple[Graph, int, ProfileStore]],
+        run_seed: int,
+        task: Tuple[int, Optional[float]],
+    ) -> float:
+        index, quantum = task
+        graph, batch_size, store = runs[index]
+        return self._run_pair(graph, batch_size, quantum, store, run_seed)
 
     # ------------------------------------------------------------------
     # Full build
@@ -229,8 +279,11 @@ class OfflineProfiler:
     ) -> ProfilerOutput:
         """Profile every (graph, batch) pair and select the quantum.
 
-        ``fixed_quantum`` skips curve measurement and Q selection (used
-        by experiments that sweep Q themselves); profiles are still
+        The solo runs go first, serially: the pair runs need their
+        profiles.  The pair runs of every curve then fan out together
+        (:meth:`_overhead_q_curves`).  ``fixed_quantum`` skips curve
+        measurement and Q selection (used by experiments that sweep Q
+        themselves), so it never starts a worker; profiles are still
         built.
         """
         store = ProfileStore()
@@ -239,23 +292,19 @@ class OfflineProfiler:
             profile = self.profile_model(graph, batch_size)
             profiles[(graph.name, batch_size)] = profile
             store.add(profile)
-        curves: List[OverheadQCurve] = []
         if fixed_quantum is not None:
             return ProfilerOutput(
-                quantum=fixed_quantum, store=store, curves=curves,
-                tolerance=tolerance,
+                quantum=fixed_quantum, store=store, tolerance=tolerance
             )
         if not with_curves:
             raise ValueError("need either curves or a fixed quantum")
-        for graph, batch_size in entries:
-            curves.append(
-                self.overhead_q_curve(
-                    graph,
-                    batch_size,
-                    profile=profiles[(graph.name, batch_size)],
-                    q_values=q_values,
-                )
-            )
+        curves = self._overhead_q_curves(
+            [
+                (graph, batch_size, profiles[(graph.name, batch_size)])
+                for graph, batch_size in entries
+            ],
+            q_values,
+        )
         quantum = select_quantum(curves, tolerance)
         return ProfilerOutput(
             quantum=quantum, store=store, curves=curves, tolerance=tolerance

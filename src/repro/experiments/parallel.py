@@ -19,18 +19,22 @@ RNG pools), which keeps the per-trial computation identical to a
 standalone run.  Worker payloads are plain picklable
 :class:`TrialOutcome` records — full :class:`ExperimentResult` objects
 hold live simulators and generators and deliberately stay in-process.
+The pool itself is :func:`repro.core.fanout.ordered_map`, the same
+helper the profiler forks its Overhead-Q sweep over.
 
 Profiler builds inside workers share the on-disk cache
 (:mod:`repro.experiments.profile_cache`), so a fan-out profiles each
-(model, batch) set once, not once per process.
+(model, batch) set once, not once per process.  A spawn worker is
+daemonic and may not have children, so a cold curve build inside one
+runs its Q sweep serially; at ``--jobs 1`` the sweep forks instead.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..core.fanout import ordered_map
 from ..sim.rng import derive_seed
 from ..workloads.scenarios import ClientSpec
 from .runner import ExperimentConfig, run_workload
@@ -52,19 +56,11 @@ class TrialOutcome:
         return self.error is None
 
 
-def _spawn_context():
-    return multiprocessing.get_context("spawn")
-
-
 def _fan_out(worker, items: Sequence, jobs: int) -> List[TrialOutcome]:
-    """Run ``worker`` over ``items``, preserving input order."""
-    items = list(items)
+    """Run ``worker`` over ``items`` on spawn workers, in input order."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1: {jobs}")
-    if jobs == 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with _spawn_context().Pool(processes=min(jobs, len(items))) as pool:
-        return pool.map(worker, items)
+    return ordered_map(worker, items, processes=jobs, method="spawn")
 
 
 # ----------------------------------------------------------------------

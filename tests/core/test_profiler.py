@@ -1,9 +1,18 @@
 """Unit tests for the offline profiler."""
 
+import json
+import multiprocessing
+import multiprocessing.pool
+import os
+
 import pytest
 
 from repro.core import OfflineProfiler
+from repro.core import profiler as profiler_module
+from repro.core.persistence import output_to_dict
 from repro.core.quantum import OverheadQCurve
+from repro.faults import InvariantChecker, InvariantViolation
+from repro.serving import ModelServer
 
 
 @pytest.fixture
@@ -106,3 +115,109 @@ class TestBuild:
             [(tiny_graph, 100), (small_inception, 100)], fixed_quantum=1e-3
         )
         assert len(output.store) == 2
+
+
+class TestSweepFanOut:
+    """The Overhead-Q sweep forks its pair runs; nothing may show it."""
+
+    Q_GRID = (0.5e-3, 1e-3, 2e-3)
+
+    @pytest.fixture
+    def entries(self, tiny_graph, small_inception):
+        return [(tiny_graph, 100), (small_inception, 100)]
+
+    @staticmethod
+    def forked(monkeypatch):
+        """Force a two-worker sweep and fail any pair run left in-process."""
+        parent = os.getpid()
+        run_pair = OfflineProfiler._run_pair
+
+        def in_worker(self, *args):
+            assert os.getpid() != parent, "pair run ran in the parent"
+            return run_pair(self, *args)
+
+        monkeypatch.setattr(profiler_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(OfflineProfiler, "_run_pair", in_worker)
+
+    def test_forked_build_is_byte_identical_to_serial(self, monkeypatch, entries):
+        monkeypatch.setattr(profiler_module, "usable_cpus", lambda: 1)
+        serial = OfflineProfiler(seed=7, curve_batches=2).build(
+            entries, q_values=self.Q_GRID
+        )
+        self.forked(monkeypatch)
+        forked = OfflineProfiler(seed=7, curve_batches=2).build(
+            entries, q_values=self.Q_GRID
+        )
+        assert json.dumps(output_to_dict(forked)) == json.dumps(
+            output_to_dict(serial)
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_build_curves_match_per_entry_curves(self, monkeypatch, entries):
+        self.forked(monkeypatch)
+        profiler = OfflineProfiler(seed=7, curve_batches=2)
+        output = profiler.build(entries, q_values=self.Q_GRID)
+        for (graph, batch), curve in zip(entries, output.curves):
+            single = profiler.overhead_q_curve(
+                graph,
+                batch,
+                profile=output.store.lookup(graph.name, batch),
+                q_values=self.Q_GRID,
+            )
+            assert curve.points == single.points
+
+    def test_worker_count_stays_out_of_the_cache_key(self, monkeypatch):
+        from repro.experiments import ExperimentConfig, profile_cache
+
+        # A profile built on a 2-CPU host must hit the cache on a
+        # 64-CPU one; code_version is pinned so source edits do not
+        # move the literal.
+        monkeypatch.setattr(profile_cache, "code_version", lambda: "pinned")
+        config = ExperimentConfig(
+            scale=0.02, curve_batches=2, q_values=self.Q_GRID
+        )
+        entries = [("alexnet", 16), ("googlenet", 16), ("resnet_50", 8)]
+        assert profile_cache.cache_key(entries, config, True) == (
+            "5573130f7a9642d9aad6674e09f5cadfb155b71676b3acb9b813862817eee294"
+        )
+
+    def test_stall_in_a_worker_raises_in_the_parent(self, monkeypatch, entries):
+        submit = ModelServer.submit
+
+        def stall_one_quantum(self, job):
+            if (
+                getattr(self.scheduler, "quantum", None) == 2e-3
+                and job.client_id == "pair1"
+            ):
+                return self.sim.event()  # never fires
+            return submit(self, job)
+
+        self.forked(monkeypatch)
+        monkeypatch.setattr(ModelServer, "submit", stall_one_quantum)
+        with pytest.raises(RuntimeError, match=r"pair run of .* stalled"):
+            OfflineProfiler(seed=7, curve_batches=2).build(
+                entries, q_values=self.Q_GRID
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_invariant_violation_in_a_worker_raises_in_the_parent(
+        self, monkeypatch, entries
+    ):
+        def violate(self, scheduler, decision):
+            raise InvariantViolation("planted violation")
+
+        self.forked(monkeypatch)
+        monkeypatch.setattr(InvariantChecker, "after_decision", violate)
+        with pytest.raises(InvariantViolation, match="planted violation"):
+            OfflineProfiler(seed=7, curve_batches=2).build(
+                entries, q_values=self.Q_GRID
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_fixed_quantum_never_starts_a_pool(self, monkeypatch, entries):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("fixed-quantum build started a pool")
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        output = OfflineProfiler(seed=7).build(entries, fixed_quantum=1e-3)
+        assert output.curves == []

@@ -16,6 +16,7 @@ from repro.experiments import (
     run_artefacts,
     run_trials,
 )
+from repro.experiments.runner import clear_caches
 from repro.sim.rng import derive_seed
 from repro.workloads import homogeneous_workload
 
@@ -55,6 +56,24 @@ class TestTrialFanOut:
             config=replace(FAST, seed=derive_seed(FAST.seed, "trial:0")),
         )
         assert outcome.digest == direct.trace_digest()
+
+    def test_cold_curve_build_inside_spawn_workers(self, tmp_path, monkeypatch):
+        # Spawn workers are daemonic and may not fork the Q sweep: each
+        # must fall back to a serial build instead of failing.
+        config = ExperimentConfig(
+            scale=0.02, quantum=None, curve_batches=2,
+            q_values=(0.5e-3, 1e-3, 2e-3),
+        )
+        outcomes = {}
+        for jobs in (2, 1):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"jobs{jobs}"))
+            clear_caches()
+            outcomes[jobs] = run_trials(
+                SPECS, "fair", config=config, num_trials=2, jobs=jobs
+            )
+        for outcome in outcomes[2]:
+            assert outcome.ok, outcome.error
+        assert [t.digest for t in outcomes[2]] == [t.digest for t in outcomes[1]]
 
     def test_rerun_is_reproducible(self):
         a = run_trials(SPECS, "fair", config=FAST, num_trials=2)
