@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from ..graph.graph import Graph
 from ..graph.node import Node
 from ..sanitize import sim_sanitizer
 from ..serving.hooks import SchedulerHook
@@ -454,16 +455,35 @@ class OlympianScheduler(GangScheduler):
             raise ValueError(f"quantum must be positive: {quantum}")
         self.quantum = quantum
         self.profiles = profiles
-        self._job_profiles: Dict[str, OlympianProfile] = {}
+        # job id -> {GPU node id: profiled cost}; host nodes are absent,
+        # so one dict lookup per completed node both classifies the node
+        # and prices it.  Tables are shared per (profile, graph).
+        self._job_costs: Dict[str, Dict[int, float]] = {}
+        self._cost_tables: Dict[
+            Tuple[str, int], Tuple[OlympianProfile, Graph, Dict[int, float]]
+        ] = {}
         self._thresholds: Dict[str, float] = {}
 
     def _prepare_job(self, job: Job) -> None:
         profile = self.profiles.lookup(job.model_name, job.batch_size)
-        self._job_profiles[job.job_id] = profile
+        self._job_costs[job.job_id] = self._cost_table(profile, job)
         self._thresholds[job.job_id] = profile.threshold(self.quantum)
 
+    def _cost_table(self, profile: OlympianProfile, job: Job) -> Dict[int, float]:
+        key = (job.model_name, job.batch_size)
+        cached = self._cost_tables.get(key)
+        if cached is not None and cached[0] is profile and cached[1] is job.graph:
+            return cached[2]
+        table = {
+            node.node_id: profile.cost(node.node_id)
+            for node in job.graph.nodes
+            if node.is_gpu
+        }
+        self._cost_tables[key] = (profile, job.graph, table)
+        return table
+
     def _forget_job(self, job: Job) -> None:
-        self._job_profiles.pop(job.job_id, None)
+        self._job_costs.pop(job.job_id, None)
         self._thresholds.pop(job.job_id, None)
 
     def threshold_of(self, job: Job) -> float:
@@ -471,13 +491,14 @@ class OlympianScheduler(GangScheduler):
 
     def on_node_done(self, job: Job, node: Node) -> None:
         """Algorithm 2 lines 14-18: accumulate cost, maybe hand off."""
-        super().on_node_done(job, node)
-        if not node.is_gpu:
+        # GangScheduler.on_node_done, inlined: this runs once per node.
+        self._last_progress = self.sim.now
+        costs = self._job_costs.get(job.job_id)
+        if costs is None:
             return
-        profile = self._job_profiles.get(job.job_id)
-        if profile is None:
+        cost = costs.get(node.node_id)
+        if cost is None:  # a host node
             return
-        cost = profile.cost(node.node_id)
         job.cumulated_cost += cost
         if self.invariants is not None:
             self.invariants.after_charge(self, job, cost)
@@ -677,13 +698,13 @@ class SpatioTemporalScheduler(OlympianScheduler):
             yield condition.wait()
 
     def on_node_done(self, job: Job, node: Node) -> None:
-        GangScheduler.on_node_done(self, job, node)
-        if not node.is_gpu:
+        self._last_progress = self.sim.now
+        costs = self._job_costs.get(job.job_id)
+        if costs is None:
             return
-        profile = self._job_profiles.get(job.job_id)
-        if profile is None:
+        cost = costs.get(node.node_id)
+        if cost is None:  # a host node
             return
-        cost = profile.cost(node.node_id)
         job.cumulated_cost += cost
         if self.invariants is not None:
             self.invariants.after_charge(self, job, cost)

@@ -4,21 +4,30 @@ TensorFlow's large-batch DNN kernels saturate the device, so kernels
 from different jobs cannot usefully run side by side — the paper
 observes that "two concurrent Inception jobs take twice as long as one"
 (§2.3) and concludes multiplexing is *temporal*.  The device model is
-therefore a serial executor: it repeatedly asks the driver for the next
-kernel (the driver decides *whose* kernel that is) and executes it for
-its duration times the device's ``compute_scale`` plus a fixed
-per-kernel overhead.
+therefore a serial executor: it executes one kernel at a time for its
+duration times the device's ``compute_scale`` plus a fixed per-kernel
+overhead, and the driver decides *whose* kernel runs next.
+
+The serial engine is call-driven, not a process.  It never suspends
+mid-kernel, so it runs on timed callbacks
+(:meth:`~repro.sim.core.Simulator.call_later`): starting a kernel
+schedules its completion, and the completion records the busy
+interval, fires the kernel's ``done``, and takes the next kernel from
+the driver (:meth:`~repro.gpu.driver.Driver.pull`).  An idle device
+leaves its start callback with the driver, which calls it from inside
+the next submission.  A kernel therefore costs two calendar events on
+the device side (execution timer, ``done``) and no generator resume.
 
 The device records busy intervals per job (and globally) into an
 :class:`~repro.sim.trace.IntervalTracer`, which is how experiments
 measure GPU duration (Figure 5) and utilization (§4.3).
 
 With ``GpuSpec.streams > 1`` the serial engine is replaced by a
-processor-sharing one (:meth:`GpuDevice._run_multi`): up to ``streams``
-kernels run concurrently, each progressing at ``1/s(k)`` of its solo
-rate where ``s(k)`` is the occupancy-dependent slowdown of
-:mod:`repro.gpu.interference`.  The serial path is untouched — with
-``streams=1`` every trace digest is bit-identical to the serial device,
+processor-sharing one (:meth:`GpuDevice._run_multi`, a process):
+up to ``streams`` kernels run concurrently, each progressing at
+``1/s(k)`` of its solo rate where ``s(k)`` is the occupancy-dependent
+slowdown of :mod:`repro.gpu.interference`.  With ``streams=1`` every
+trace digest is bit-identical to the pre-extension serial device,
 which the equivalence suite in ``tests/properties`` pins.
 """
 
@@ -69,8 +78,8 @@ class GpuDevice:
         self.kernels_executed = 0
         self.busy_time = 0.0
         self.current_kernel: Optional[Kernel] = None
-        # Set by Telemetry.attach(); re-read each loop iteration because
-        # the device process starts before telemetry can be attached.
+        # Set by Telemetry.attach(); re-read at every kernel start and
+        # finish because it may be attached after construction.
         self.telemetry = None
         # Fault injection: the engine stalls (no kernel starts) until
         # this simulated time.  In-flight kernels are not extended —
@@ -100,8 +109,19 @@ class GpuDevice:
         # Integral of occupancy over time: occupancy_time / elapsed is
         # the mean number of busy streams.
         self.occupancy_time = 0.0
-        engine = self._run_multi() if spec.streams > 1 else self._run()
-        self._process: Process = sim.process(engine, name=f"gpu:{spec.name}")
+        # GpuSpec is frozen, so these hoist for the serial engine;
+        # clock_factor and _hang_until can change mid-run and are
+        # re-read at every start.
+        self._compute_scale = spec.compute_scale
+        self._kernel_overhead = spec.kernel_overhead
+        self._record = self.tracer.record_pair
+        self._process: Optional[Process] = None
+        if spec.streams > 1:
+            self._process = sim.process(
+                self._run_multi(), name=f"gpu:{spec.name}"
+            )
+        else:
+            driver.pull(self._start)
 
     @property
     def queue_depth(self) -> int:
@@ -157,61 +177,84 @@ class GpuDevice:
         """True from a crash until its reset completes."""
         return self.sim.now < self.down_until
 
-    def _run(self):
-        # GpuSpec is frozen, so its fields hoist; clock_factor and
-        # _hang_until can change mid-run (set_clock_factor /
-        # inject_hang) and must be re-read per kernel.
+    # ------------------------------------------------------------------
+    # Serial engine (streams == 1): timed callbacks, no process
+    # ------------------------------------------------------------------
+
+    def _start(self, kernel: Kernel, stalled: bool = False) -> None:
+        """Start ``kernel`` now, or once an injected stall has elapsed.
+
+        The driver calls this when it hands a submission to the idle
+        device.  ``_finish`` inlines the same body for the kernel it
+        pulls, which is the common case: keep the two in lockstep.
+        """
         sim = self.sim
-        timeout = sim.timeout
-        next_kernel = self.driver.next_kernel
-        record = self.tracer.record
-        compute_scale = self.spec.compute_scale
-        kernel_overhead = self.spec.kernel_overhead
-        while True:
-            kernel: Kernel = yield next_kernel()
-            if sim.now < self._hang_until:
-                # Injected device hang: sit out the remaining stall
-                # before this kernel may start.
-                yield timeout(self._hang_until - sim.now)
-            self.current_kernel = kernel
-            start = sim.now
-            kernel.started_at = start
-            telemetry = self.telemetry
-            if telemetry is not None:
-                guard = sim_sanitizer.checkpoint(self)
-                telemetry.emit(
-                    "kernel.started",
-                    "device",
-                    job_id=kernel.job_id,
-                    node_id=kernel.node_id,
-                    seq=kernel.seq,
-                )
-                sim_sanitizer.verify(self, guard, "kernel.started")
-            yield timeout(
-                kernel.duration * compute_scale * self.clock_factor
-                + kernel_overhead
-            )
-            end = sim.now
-            kernel.finished_at = end
-            self.kernels_executed += 1
-            self.busy_time += end - start
-            record(kernel.job_id, start, end, tag=kernel.node_id)
-            record(GPU_GLOBAL_KEY, start, end, tag=kernel.job_id)
-            self.current_kernel = None
-            if telemetry is not None:
-                guard = sim_sanitizer.checkpoint(self)
-                # The pipeline annotates this with the current token
-                # holder, which is how overflow kernels are detected.
-                telemetry.emit(
-                    "kernel.finished",
-                    "device",
-                    job_id=kernel.job_id,
-                    node_id=kernel.node_id,
-                    seq=kernel.seq,
-                    exec_time=end - start,
-                )
-                sim_sanitizer.verify(self, guard, "kernel.finished")
-            kernel.done.succeed(kernel)
+        now = sim.now
+        if now < self._hang_until and not stalled:
+            # Injected device hang: sit out the remaining stall before
+            # this kernel may start (a hang injected meanwhile does not
+            # extend it).
+            sim.call_later(self._hang_until - now, self._start_stalled, kernel)
+            return
+        self.current_kernel = kernel
+        kernel.started_at = now
+        if self.telemetry is not None:
+            self._emit_kernel("kernel.started", kernel)
+        sim.call_later(
+            kernel.duration * self._compute_scale * self.clock_factor
+            + self._kernel_overhead,
+            self._finish,
+            kernel,
+        )
+
+    def _start_stalled(self, kernel: Kernel) -> None:
+        self._start(kernel, stalled=True)
+
+    def _finish(self, kernel: Kernel) -> None:
+        """Retire ``kernel`` (record it, fire ``done``), start the next."""
+        sim = self.sim
+        now = sim.now
+        start = kernel.started_at
+        kernel.finished_at = now
+        self.kernels_executed += 1
+        self.busy_time += now - start
+        self._record(kernel.job_id, kernel.node_id, GPU_GLOBAL_KEY, start, now)
+        self.current_kernel = None
+        if self.telemetry is not None:
+            # The pipeline annotates this with the current token
+            # holder, which is how overflow kernels are detected.
+            self._emit_kernel("kernel.finished", kernel, exec_time=now - start)
+        kernel.done.succeed(kernel)
+        kernel = self.driver.pull(self._start)
+        if kernel is None:
+            return
+        # ``_start(kernel)``, inlined: this runs once per kernel.
+        if now < self._hang_until:
+            sim.call_later(self._hang_until - now, self._start_stalled, kernel)
+            return
+        self.current_kernel = kernel
+        kernel.started_at = now
+        if self.telemetry is not None:
+            self._emit_kernel("kernel.started", kernel)
+        sim.call_later(
+            kernel.duration * self._compute_scale * self.clock_factor
+            + self._kernel_overhead,
+            self._finish,
+            kernel,
+        )
+
+    def _emit_kernel(self, kind: str, kernel: Kernel, **fields: Any) -> None:
+        """Serial-engine telemetry seam (only when telemetry is attached)."""
+        guard = sim_sanitizer.checkpoint(self)
+        self.telemetry.emit(
+            kind,
+            "device",
+            job_id=kernel.job_id,
+            node_id=kernel.node_id,
+            seq=kernel.seq,
+            **fields,
+        )
+        sim_sanitizer.verify(self, guard, kind)
 
     def _run_multi(self):
         """Processor-sharing engine for ``streams > 1``.
@@ -230,7 +273,7 @@ class GpuDevice:
         sim = self.sim
         timeout = sim.timeout
         driver = self.driver
-        record = self.tracer.record
+        record = self._record
         streams = self.spec.streams
         model = self.interference
         compute_scale = self.spec.compute_scale
@@ -332,8 +375,7 @@ class GpuDevice:
             kernel.finished_at = end
             self.kernels_executed += 1
             self.busy_time += end - start_at
-            record(kernel.job_id, start_at, end, tag=kernel.node_id)
-            record(GPU_GLOBAL_KEY, start_at, end, tag=kernel.job_id)
+            record(kernel.job_id, kernel.node_id, GPU_GLOBAL_KEY, start_at, end)
             self.occupancy = len(residents)
             if kernel is self.current_kernel:
                 self.current_kernel = (

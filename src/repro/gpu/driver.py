@@ -24,11 +24,15 @@ utilization, §4.3) is unaffected.
 Olympian never modifies this layer; it controls *which* job is allowed
 to submit at all.
 
-The multi-stream device (``GpuSpec.streams > 1``) additionally passes
-an ``eligible`` predicate to :meth:`Driver.next_kernel` so the
+The serial device (``GpuSpec.streams == 1``) is call-driven: it takes
+its next kernel with :meth:`Driver.pull` as it retires one, and when
+the queues are empty the driver keeps its start callback and hands the
+next submission straight to it.  The multi-stream device
+(``GpuSpec.streams > 1``) is a process that waits on
+:meth:`Driver.next_kernel` with an ``eligible`` predicate, so the
 spatio-temporal scheduler's per-job concurrency bound is enforced at
-dequeue time; the serial path (no predicate) is byte-identical to the
-pre-spatial driver, including its RNG draw sequence.
+dequeue time.  Both make the same picks with the same RNG draws as the
+pre-spatial driver when only one stream is eligible.
 """
 
 from __future__ import annotations
@@ -70,9 +74,11 @@ class Driver:
         self._ranks: Dict[Any, float] = {}
         self._queued = 0
         self._current_stream: Optional[Any] = None
+        # The idle serial device's start callback (see ``pull``).
+        self._idle_start: Optional[Callable[[Kernel], None]] = None
+        # The multi-stream device's pending fetch and its eligibility
+        # predicate (see ``next_kernel``).
         self._waiter: Optional[Event] = None
-        # Eligibility predicate attached to the pending waiter (multi-
-        # stream device only; None on the serial path).
         self._waiter_filter: Optional[Callable[[Any], bool]] = None
         self.submission_counts: Dict[Any, int] = {}
         self.max_queue_depth = 0
@@ -116,7 +122,31 @@ class Driver:
         if duration is None:
             duration = node.duration(batch_size) + slowdown
         kernel = Kernel(self.sim, job_id, node.node_id, duration)
-        kernel.submitted_at = self.sim.now
+        self._submit(kernel)
+        return kernel
+
+    def launch_after(
+        self, delay: float, job_id: Any, node_id: int, duration: float
+    ) -> Kernel:
+        """Submit a kernel ``delay`` seconds from now (launch latency).
+
+        The same submission as a ``launch`` made by a caller that slept
+        ``delay`` first, but the caller does not have to wake for it:
+        the :class:`Kernel` comes back now, so the caller can wait on
+        ``done`` directly, and a pooled timed callback runs the
+        submission at the very calendar position the caller's wake-up
+        would have taken.  This is the compiled session walker's path.
+        """
+        kernel = Kernel(self.sim, job_id, node_id, duration)
+        self.sim.call_later(delay, self._submit, kernel)
+        return kernel
+
+    def _submit(self, kernel: Kernel) -> None:
+        """Queue ``kernel`` on its job's stream (or reject it) now."""
+        job_id = kernel.job_id
+        node_id = kernel.node_id
+        now = self.sim.now
+        kernel.submitted_at = now
         seq = self.submission_counts.get(job_id, 0)
         kernel.seq = seq
         self.submission_counts[job_id] = seq + 1
@@ -127,12 +157,12 @@ class Driver:
                 "kernel.submitted",
                 "driver",
                 job_id=job_id,
-                node_id=node.node_id,
+                node_id=node_id,
                 seq=seq,
                 queue_depth=self._queued,
             )
             sim_sanitizer.verify(self, guard, "kernel.submitted")
-        if self.sim.now < self._reject_until:
+        if now < self._reject_until:
             # The device is down: reject at the driver boundary with the
             # remaining reset latency as a backpressure hint.
             from ..faults.errors import DeviceCrashed
@@ -144,17 +174,17 @@ class Driver:
                     "kernel.rejected",
                     "driver",
                     job_id=job_id,
-                    node_id=node.node_id,
+                    node_id=node_id,
                     seq=seq,
                     reason="device_crashed",
                 )
                 sim_sanitizer.verify(self, guard, "kernel.rejected")
             kernel.done.fail(
-                DeviceCrashed(job_id, retry_after=self._reject_until - self.sim.now)
+                DeviceCrashed(job_id, retry_after=self._reject_until - now)
             )
-            return kernel
+            return
         if self.launch_interceptor is not None:
-            fault = self.launch_interceptor(job_id, node.node_id)
+            fault = self.launch_interceptor(job_id, node_id)
             if fault is not None:
                 # Rejected at the driver boundary: the kernel never
                 # reaches a stream; its waiter sees the fault raised at
@@ -166,12 +196,12 @@ class Driver:
                         "kernel.rejected",
                         "driver",
                         job_id=job_id,
-                        node_id=node.node_id,
+                        node_id=node_id,
                         seq=seq,
                     )
                     sim_sanitizer.verify(self, guard, "kernel.rejected")
                 kernel.done.fail(fault)
-                return kernel
+                return
         queue = self._queues.get(job_id)
         if queue is None:
             queue = deque()
@@ -182,17 +212,17 @@ class Driver:
         self._queued += 1
         if self._queued > self.max_queue_depth:
             self.max_queue_depth = self._queued
-        if self._waiter is not None:
-            if self._waiter_filter is None:
+        start = self._idle_start
+        if start is not None:
+            # The serial device is idle: it starts this pick right here.
+            self._idle_start = None
+            start(self._pop())
+        elif self._waiter is not None:
+            chosen = self._pop_eligible(self._waiter_filter)
+            if chosen is not None:
                 waiter, self._waiter = self._waiter, None
-                waiter.succeed(self._pop())
-            else:
-                chosen = self._pop_eligible(self._waiter_filter)
-                if chosen is not None:
-                    waiter, self._waiter = self._waiter, None
-                    self._waiter_filter = None
-                    waiter.succeed(chosen)
-        return kernel
+                self._waiter_filter = None
+                waiter.succeed(chosen)
 
     # ------------------------------------------------------------------
     # Device crash (fault injection / recovery)
@@ -247,25 +277,37 @@ class Driver:
     # Device side
     # ------------------------------------------------------------------
 
-    def next_kernel(
-        self, eligible: Optional[Callable[[Any], bool]] = None
-    ) -> Event:
-        """Event that fires with the next kernel to execute.
+    def pull(self, start: Callable[[Kernel], None]) -> Optional[Kernel]:
+        """The serial device's fetch: the next kernel, or None when idle.
 
-        Fires immediately if work is queued; otherwise when the next
-        submission arrives.  Only one outstanding request (one device)
+        The device calls this as its running kernel retires.  When no
+        work is queued, ``start`` is kept and called with the next
+        submission's pick, from inside that submission.  Only one device
         is supported.
+        """
+        if self._idle_start is not None:
+            raise RuntimeError("driver already has an idle device")
+        kernel = self._pop()
+        if kernel is None:
+            self._idle_start = start
+        return kernel
 
-        ``eligible``, when given, restricts the pick to streams whose
-        ``job_id`` satisfies the predicate (multi-stream device only).
-        A waiter stored with a predicate is *not* re-checked when
-        residency changes on the device side — the device cancels the
-        wait (:meth:`cancel_device_wait`) and re-issues instead.
+    def next_kernel(self, eligible: Callable[[Any], bool]) -> Event:
+        """The multi-stream device's fetch: an event firing with a kernel.
+
+        Fires immediately if an eligible stream has work; otherwise when
+        a submission makes one eligible.  Only one outstanding request
+        (one device) is supported.
+
+        ``eligible`` restricts the pick to streams whose ``job_id``
+        satisfies the predicate.  A stored waiter is *not* re-checked
+        when residency changes on the device side — the device cancels
+        the wait (:meth:`cancel_device_wait`) and re-issues instead.
         """
         if self._waiter is not None:
             raise RuntimeError("driver already has a pending device request")
         event = self.sim.event()  # pooled: one fetch event per executed kernel
-        kernel = self._pop() if eligible is None else self._pop_eligible(eligible)
+        kernel = self._pop_eligible(eligible)
         if kernel is not None:
             event.succeed(kernel)
         else:
@@ -287,8 +329,20 @@ class Driver:
 
     def _pop(self) -> Optional[Kernel]:
         """Serve the highest-ranked non-empty stream."""
-        if not self._queued:
+        queued = self._queued
+        if not queued:
             return None
+        current = self._current_stream
+        queue = self._queues.get(current)
+        if queue is not None and len(queue) == queued:
+            # Only the current stream has work: the general pick below
+            # would choose it with no RNG draw and no stream switch, and
+            # its cleanup would keep only this stream.  O(1) here.
+            if len(self._queues) > 12:
+                self._queues = {current: queue}
+                self._ranks = {current: self._ranks[current]}
+            self._queued = queued - 1
+            return queue.popleft()
         nonempty = [job_id for job_id, queue in self._queues.items() if queue]
         if len(nonempty) == 1:
             chosen = nonempty[0]

@@ -90,10 +90,10 @@ def quantum_gpu_durations(
         # Buckets: [start_k, start_{k+1}) for each tenure k; the last
         # bucket is open-ended so a final quantum keeps its overflow.
         sums = [0.0] * len(tenures)
-        for interval in server.tracer.intervals(job_id):
-            index = bisect_right(starts, interval.start) - 1
+        for start, end, _tag in server.tracer.rows(job_id):
+            index = bisect_right(starts, start) - 1
             if index >= 0:
-                sums[index] += interval.duration
+                sums[index] += end - start
         for tenure, total in zip(tenures, sums):
             if window is not None:
                 lo, hi = window

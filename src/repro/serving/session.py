@@ -25,9 +25,15 @@ the default) replays the precomputed per-(graph, batch) schedule from
 :mod:`repro.graph.compiled`: the BFS queue holds node ids, device
 flags and durations come from flat arrays, and the scheduler is only
 consulted through the cheap ``needs_yield`` predicate unless the gang
-actually has to park.  The two walkers make identical simulation calls
-in identical order, so ``trace_digest`` is bit-identical between them
-— the reference path is kept precisely to assert that.
+actually has to park.  Where the reference walker sleeps out the
+launch latency and then launches, the compiled walker hands the driver
+the kernel with its latency (:meth:`~repro.gpu.driver.Driver.launch_after`)
+and waits on ``done`` straight away: the submission runs from a timed
+callback at the calendar position of the reference walker's wake-up,
+so a GPU node costs the session one resume instead of two.  The two
+walkers put the same work on the calendar in identical order, so
+``trace_digest`` is bit-identical between them — the reference path is
+kept precisely to assert that.
 """
 
 from __future__ import annotations
@@ -207,7 +213,8 @@ class Session:
         """Gang-thread body over the precomputed schedule.
 
         Must mirror ``_thread_body`` + ``_compute`` + ``_finish_node``
-        call-for-call: the same events in the same order, only with the
+        call-for-call: the same events in the same order (the launch
+        latency is a timed callback instead of a sleep), only with the
         per-node lookups (device, duration, slowdown, scheduler-park
         test) resolved from flat arrays and hoisted constants, and the
         node-finish bookkeeping inlined into the loop.  ``dispatch``
@@ -241,10 +248,10 @@ class Session:
         launch_latency = server.config.launch_latency
         online = server.config.online_profiling
         driver_launch = server.driver.launch
+        launch_after = server.driver.launch_after
         cpu_execute = server.cpu.execute
         try_fetch = server.pool.try_fetch
         process = sim.process
-        timeout = sim.timeout
         job_id = job.job_id
         batch = job.batch_size
         try:
@@ -262,13 +269,19 @@ class Session:
                 try:
                     if is_gpu[node_id]:
                         if launch_latency > 0.0:
-                            yield timeout(launch_latency)
-                        kernel = driver_launch(
-                            job_id,
-                            nodes[node_id],
-                            batch,
-                            duration=durations[node_id] + slowdown,
-                        )
+                            kernel = launch_after(
+                                launch_latency,
+                                job_id,
+                                node_id,
+                                durations[node_id] + slowdown,
+                            )
+                        else:
+                            kernel = driver_launch(
+                                job_id,
+                                nodes[node_id],
+                                batch,
+                                duration=durations[node_id] + slowdown,
+                            )
                         yield kernel.done
                     else:
                         yield from cpu_execute(durations[node_id] + slowdown)

@@ -9,6 +9,9 @@ process-based simulator:
 * :class:`Process` wraps a Python generator; the generator *yields*
   events (or other processes) and is resumed when they fire.
 * :class:`Timeout` is an event that fires after a fixed delay.
+* :meth:`Simulator.call_later` runs a plain callback after a delay —
+  the primitive for hot-path components that never suspend, so they
+  need no process (and pay no generator resume) at all.
 
 All times are floats in **simulated seconds**.  The kernel is fully
 deterministic: ties in the event calendar are broken by insertion
@@ -27,8 +30,10 @@ closure nest built once per :class:`Simulator`:
   per event (see the :mod:`repro.sim.wheel` docstring for the layout,
   the insertion cache, and the adaptive far-list).
 * The dominant create-fire-resume cycle recycles :class:`Timeout` and
-  :class:`Event` instances through :class:`repro.sim.pool.KernelPools`,
-  so a warmed-up run allocates nothing per event.
+  :class:`Event` instances — and the timed callbacks behind
+  :meth:`Simulator.call_later` — through
+  :class:`repro.sim.pool.KernelPools`, so a warmed-up run allocates
+  nothing per event.
 * ``Simulator.run`` dispatches callbacks inline (the fixed body of
   what ``Event._fire`` used to be).  This is only sound because the
   dispatch sequence is fixed; :class:`Event` therefore *forbids*
@@ -219,7 +224,19 @@ class Timeout(Event):
         self._exc = None
         self._scheduled = True
         self.delay = delay
-        sim._insert(self, sim._now + delay)
+        sim._insert(self, sim.now + delay)
+
+
+class _Call(Event):
+    """A timed callback: runs ``_cb(_value)`` when its deadline comes.
+
+    Created only by the pooled :meth:`Simulator.call_later` factory and
+    never handed out, so the dispatch loop recycles it unconditionally.
+    A distinct type because dispatch passes the stored value, not the
+    event, to the callback.
+    """
+
+    __slots__ = ()
 
 
 class _Bootstrap(Event):
@@ -397,23 +414,25 @@ class Simulator:
 
     The calendar and dispatch loop are closures built by
     :func:`repro.sim.wheel.build_kernel`; the hottest entry points —
-    ``timeout``, ``event``, ``step``, ``peek``, ``succeed_many``,
-    ``timeout_chain`` — are bound directly as instance attributes so a
-    call costs one attribute load plus the closure call, with no
-    method-descriptor indirection.
+    ``timeout``, ``call_later``, ``event``, ``step``, ``peek``,
+    ``succeed_many``, ``timeout_chain`` — are bound directly as instance
+    attributes so a call costs one attribute load plus the closure call,
+    with no method-descriptor indirection.
 
-    ``_now`` mirrors the kernel's clock cell (updated at every clock
-    write) so ``sim.now`` stays a plain attribute read.
+    ``now`` is the current simulated time in seconds: a plain attribute
+    the kernel writes at every clock advance, so reading it costs one
+    attribute load.  Treat it as read-only.
     """
 
     def __init__(self):
-        self._now = 0.0
+        self.now = 0.0
         self.pools = KernelPools()
         kernel = build_kernel(
             self,
             self.pools,
             event_t=Event,
             timeout_t=Timeout,
+            call_t=_Call,
             process_t=Process,
             interruption_t=_Interruption,
             interrupt_exc=Interrupt,
@@ -425,6 +444,7 @@ class Simulator:
         # Hot factories / calendar primitives (documented stubs below
         # are shadowed by these bindings).
         self.timeout = kernel.timeout
+        self.call_later = kernel.call_later
         self.event = kernel.event
         self.succeed_many = kernel.succeed_many
         self.timeout_chain = kernel.timeout_chain
@@ -435,11 +455,6 @@ class Simulator:
         self._get_active = kernel.get_active
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._get_active()
@@ -448,9 +463,10 @@ class Simulator:
     # Factories
     # ------------------------------------------------------------------
     #
-    # ``event`` and ``timeout`` are rebound per-instance to the kernel's
-    # pooled factories in ``__init__``; the defs below only provide the
-    # class-level API surface (signatures, docstrings, introspection).
+    # ``event``, ``timeout`` and ``call_later`` are rebound per-instance
+    # to the kernel's pooled factories in ``__init__``; the defs below
+    # only provide the class-level API surface (signatures, docstrings,
+    # introspection).
 
     def event(self) -> Event:
         """Create a fresh, untriggered event (pool-recycled)."""
@@ -459,6 +475,20 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` seconds."""
         return Timeout(self, delay, value)
+
+    def call_later(
+        self, delay: float, callback: Callable[[Any], None], value: Any = None
+    ) -> None:
+        """Run ``callback(value)`` at ``now + delay``.
+
+        The timed-callback primitive: it is ordered in the calendar
+        exactly like ``timeout(delay)`` created at the same moment, but
+        fires a plain call instead of resuming a process, and its event
+        is pooled and never exposed.  A component that only reacts to
+        deadlines (the serial GPU engine, a delayed kernel launch) runs
+        on this without owning a generator.
+        """
+        self._kernel.call_later(delay, callback, value)
 
     def process(
         self, generator: Generator[Event, Any, Any], name: str = ""
@@ -504,7 +534,7 @@ class Simulator:
         if event._scheduled:
             raise SimulationError("event scheduled twice")
         event._scheduled = True
-        self._insert(event, self._now + delay)
+        self._insert(event, self.now + delay)
 
     def step(self) -> None:
         """Process the next event on the calendar.
@@ -538,9 +568,9 @@ class Simulator:
         :meth:`run_reference` is the readable equivalent — both produce
         bit-identical schedules.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"run(until={until!r}) is in the past (now={self._now!r})"
+                f"run(until={until!r}) is in the past (now={self.now!r})"
             )
         self.pools.trim()
         if max_steps is not None:
@@ -554,8 +584,8 @@ class Simulator:
         Kept as the oracle for the fast path in :meth:`run` — the
         determinism suite asserts both produce identical trace digests.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"run(until={until!r}) is in the past (now={self._now!r})"
+                f"run(until={until!r}) is in the past (now={self.now!r})"
             )
         self._kernel.run_reference(until)

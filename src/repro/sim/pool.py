@@ -4,7 +4,8 @@ The hot loop of the rewritten kernel (:mod:`repro.sim.wheel`) recycles
 :class:`~repro.sim.core.Timeout` and :class:`~repro.sim.core.Event`
 instances instead of allocating fresh ones, so the dominant
 create-fire-resume cycle performs no object allocation at all once the
-pools are warm.
+pools are warm.  Timed callbacks (``Simulator.call_later``) recycle the
+same way through their own free list.
 
 Recycling is gated on ``sys.getrefcount``: an event is returned to its
 pool only when the dispatch loop holds the *only* remaining references
@@ -27,6 +28,9 @@ Invariants (relied on by :func:`repro.sim.wheel.build_kernel`):
 * A recycled ``Event`` must have ``_value``/``_exc``/``_cb``/
   ``_scheduled`` all reset so it passes the double-schedule guard and
   reads as untriggered.
+* A timed callback never escapes the kernel (``call_later`` returns
+  nothing), so it is recycled unconditionally once dispatched; its
+  ``_value`` is dropped so the pool pins no payload.
 * The pool lists are plain ``list`` objects captured directly by the
   kernel closures; :class:`KernelPools` is the bookkeeping wrapper, not
   an indirection layer on the hot path.
@@ -53,19 +57,21 @@ class KernelPools:
 
     Attributes
     ----------
-    timeouts / events:
+    timeouts / events / calls:
         The raw free lists.  The kernel closures capture these lists
         directly (``pop()`` on allocation, ``append()`` on recycle);
         treat them as owned by the kernel.
     timeout_allocs / event_allocs:
         Number of genuine allocations (pool misses).  Counted on the
         cold allocation branch only, so the hot recycled path pays
-        nothing for the statistic.
+        nothing for the statistic.  ``timeout_allocs`` counts every
+        timed event: timeouts and timed callbacks.
     """
 
     __slots__ = (
         "timeouts",
         "events",
+        "calls",
         "max_pool",
         "timeout_allocs",
         "event_allocs",
@@ -74,6 +80,7 @@ class KernelPools:
     def __init__(self, max_pool: int = DEFAULT_MAX_POOL):
         self.timeouts: List = []
         self.events: List = []
+        self.calls: List = []
         self.max_pool = max_pool
         self.timeout_allocs = 0
         self.event_allocs = 0
@@ -85,12 +92,15 @@ class KernelPools:
             del self.timeouts[limit:]
         if len(self.events) > limit:
             del self.events[limit:]
+        if len(self.calls) > limit:
+            del self.calls[limit:]
 
     def stats(self) -> Dict[str, int]:
         """Snapshot for diagnostics and the performance docs."""
         return {
             "pooled_timeouts": len(self.timeouts),
             "pooled_events": len(self.events),
+            "pooled_calls": len(self.calls),
             "timeout_allocs": self.timeout_allocs,
             "event_allocs": self.event_allocs,
             "max_pool": self.max_pool,

@@ -10,11 +10,13 @@ provides:
 * :func:`union_duration` — length of the union of intervals (Figure 5).
 * :func:`busy_fraction` — utilization over a window (the NVML analogue).
 
-The tracer sits on the simulation's hot path (two records per executed
-GPU kernel), so it stores raw ``(start, end, tag)`` tuples in flat
-per-key lists and only materialises :class:`Interval` objects lazily,
-when an analysis view (:meth:`IntervalTracer.intervals` /
-:meth:`IntervalTracer.all_intervals`) asks for them.
+The tracer sits on the simulation's hot path (one
+:meth:`IntervalTracer.record_pair` per executed GPU kernel, filing the
+span under its job and the device total), so it stores raw
+``(start, end, tag)`` tuples in flat per-key lists and only
+materialises :class:`Interval` objects lazily, when an analysis view
+(:meth:`IntervalTracer.intervals` / :meth:`IntervalTracer.all_intervals`)
+asks for them.  Hot readers use :meth:`IntervalTracer.rows` instead.
 """
 
 from __future__ import annotations
@@ -135,6 +137,33 @@ class IntervalTracer:
         rows.append((start, end, tag))
         self._all_raw.append((key, start, end, tag))
 
+    def record_pair(
+        self, key: Any, tag: Any, total_key: Any, start: float, end: float
+    ) -> None:
+        """Record one span under ``key`` and again under ``total_key``.
+
+        Equivalent to ``record(key, start, end, tag)`` followed by
+        ``record(total_key, start, end, tag=key)``: the device files
+        each kernel under its job (tagged with the node) and under the
+        all-jobs busy key (tagged with the job) in one call.
+        """
+        if end < start:
+            raise ValueError(
+                f"interval ends before it starts: [{start!r}, {end!r})"
+            )
+        raw = self._raw
+        rows = raw.get(key)
+        if rows is None:
+            rows = raw[key] = []
+        rows.append((start, end, tag))
+        rows = raw.get(total_key)
+        if rows is None:
+            rows = raw[total_key] = []
+        rows.append((start, end, key))
+        append = self._all_raw.append
+        append((key, start, end, tag))
+        append((total_key, start, end, key))
+
     def intervals(self, key: Any) -> List[Interval]:
         return [
             Interval(start, end, tag)
@@ -149,6 +178,13 @@ class IntervalTracer:
             Interval(start, end, tag)
             for _key, start, end, tag in self._all_raw
         ]
+
+    def rows(self, key: Any) -> List[Tuple[float, float, Any]]:
+        """The raw ``(start, end, tag)`` records for ``key``, in order.
+
+        The tracer's own list, not a copy: callers must not mutate it.
+        """
+        return self._raw.get(key, [])
 
     def spans(self, key: Any) -> List[Tuple[float, float]]:
         return [(start, end) for start, end, _tag in self._raw.get(key, ())]

@@ -28,7 +28,8 @@ Layout
   near/far deadline mixes.
 * pools — see :mod:`repro.sim.pool`.  The dispatch loop recycles exact
   ``Timeout``/``Event`` instances whose refcount proves the program
-  holds no other reference.
+  holds no other reference, and every dispatched timed callback
+  (``call_later``), which the program never sees.
 
 Ordering guarantee
 ------------------
@@ -82,6 +83,7 @@ class SimKernel:
 
     __slots__ = (
         "timeout",
+        "call_later",
         "insert",
         "schedule_now",
         "event",
@@ -105,6 +107,7 @@ def build_kernel(
     *,
     event_t: type,
     timeout_t: type,
+    call_t: type,
     process_t: type,
     interruption_t: type,
     interrupt_exc: type,
@@ -133,6 +136,7 @@ def build_kernel(
     active_proc = None
     t_pool = pools.timeouts
     e_pool = pools.events
+    c_pool = pools.calls
     getref = getrefcount
 
     # ------------------------------------------------------------------
@@ -223,6 +227,47 @@ def build_kernel(
             if t < far_min:
                 far_min = t
         return ev
+
+    def call_later(
+        delay: float,
+        fn: Callable[[Any], None],
+        value: Any = None,
+        *,
+        _c_pool: Any = c_pool,
+        _c_pop: Any = c_pool.pop,
+    ) -> None:
+        # timeout() with a callback in the waiter slot: same deadline
+        # arithmetic and insertion path, so it takes exactly the
+        # calendar position a timeout created here would.
+        nonlocal seq, cache_t, cache_b, far_min
+        if delay < 0.0:
+            raise error_t(f"negative timeout delay: {delay!r}")
+        if _c_pool:
+            ev = _c_pop()
+        else:
+            ev = call_t.__new__(call_t)
+            ev.sim = sim
+            ev._exc = None
+            ev._scheduled = True
+            pools.timeout_allocs += 1
+        ev._cb = fn
+        ev._value = value
+        t = now + delay
+        if t == cache_t:
+            cache_b.append(ev)
+            return
+        b = free.pop() if free else []
+        b.append(ev)
+        cache_t = t
+        cache_b = b
+        s = seq
+        seq = s + 1
+        if t < horizon:
+            heappush(times, (t, s, b))
+        else:
+            far.append((t, s, b))
+            if t < far_min:
+                far_min = t
 
     def event() -> Any:
         if e_pool:
@@ -444,6 +489,13 @@ def build_kernel(
         nonlocal active_proc
         cb = ev._cb
         ev._cb = processed
+        if type(ev) is call_t:
+            active_proc = None
+            value = ev._value
+            ev._value = None
+            c_pool.append(ev)
+            cb(value)
+            return
         if cb is None:
             return
         if type(cb) is process_t:
@@ -487,10 +539,12 @@ def build_kernel(
         free_l = free
         t_pool_l = t_pool
         e_pool_l = e_pool
+        c_pool_l = c_pool
         processed_l = processed
         pending_l = pending
         process_c = process_t
         timeout_c = timeout_t
+        call_c = call_t
         event_c = event_t
         interruption_c = interruption_t
         getref_l = getref
@@ -517,13 +571,13 @@ def build_kernel(
                 if t > limit:
                     push(times_l, tup)
                     now = until
-                    sim_l._now = until
+                    sim_l.now = until
                     return
                 if len(times_l) > FAR_HEAP_LIMIT and horizon == _INF:
                     _activate_far()
                 b = tup[2]
                 now = t
-                sim_l._now = t
+                sim_l.now = t
                 if t == cache_t:
                     # Same-time events scheduled during dispatch must
                     # open a *fresh* bucket (pops after all older
@@ -606,6 +660,16 @@ def build_kernel(
                             ev._scheduled = False
                             e_pool_l.append(ev)
                         continue
+                    if type(ev) is call_c:
+                        # ----- timed callback (serial GPU engine) -----
+                        # Recycled before the call: the callback may
+                        # schedule the next one straight from the pool.
+                        active_proc = None
+                        value = ev._value
+                        ev._value = None
+                        c_pool_l.append(ev)
+                        cb(value)
+                        continue
                     if cb is None:
                         if type(ev) is timeout_c:
                             if getref_l(ev) == 3:
@@ -633,7 +697,7 @@ def build_kernel(
                 free_l.append(b)
             if until is not None:
                 now = until
-                sim._now = until
+                sim.now = until
         finally:
             active_proc = None
 
@@ -651,7 +715,7 @@ def build_kernel(
             tup = heappop(times)
             t = tup[0]
             now = t
-            sim._now = t
+            sim.now = t
             if t == cache_t:
                 cache_t = -1.0
             b = tup[2]
@@ -682,7 +746,7 @@ def build_kernel(
         while not queue_empty():
             if until is not None and peek() > until:
                 now = until
-                sim._now = until
+                sim.now = until
                 return
             if steps >= max_steps:
                 raise error_t(
@@ -694,19 +758,19 @@ def build_kernel(
             step()
         if until is not None:
             now = until
-            sim._now = until
+            sim.now = until
 
     def run_reference(until: Optional[float] = None) -> None:
         nonlocal now
         while not queue_empty():
             if until is not None and peek() > until:
                 now = until
-                sim._now = until
+                sim.now = until
                 return
             step()
         if until is not None:
             now = until
-            sim._now = until
+            sim.now = until
 
     # ------------------------------------------------------------------
     # Introspection
@@ -732,6 +796,7 @@ def build_kernel(
 
     kernel = SimKernel()
     kernel.timeout = timeout
+    kernel.call_later = call_later
     kernel.insert = insert
     kernel.schedule_now = schedule_now
     kernel.event = event

@@ -142,6 +142,38 @@ class TestQuantumAccounting:
         assert total > 0
         assert foreign / total < 0.25  # overflow is a bounded minority
 
+    def test_unprofiled_gpu_node_is_charged_zero_host_node_not_at_all(
+        self, tiny_graph
+    ):
+        """The per-job cost table tells host nodes from GPU nodes the
+        profile lacks: the latter still go through the charge (and so
+        the threshold test), at cost 0.0."""
+        sim, server, scheduler, profile = build_stack(tiny_graph)
+        gpu = [node for node in tiny_graph.nodes if node.is_gpu]
+        host = next(node for node in tiny_graph.nodes if not node.is_gpu)
+        unprofiled = gpu[0]
+        del profile.node_costs[unprofiled.node_id]
+        charges = []
+        checker = scheduler.invariants
+        after_charge = checker.after_charge
+
+        def record(sched, job, cost):
+            charges.append(cost)
+            after_charge(sched, job, cost)
+
+        checker.after_charge = record
+        job = server.make_job("a", tiny_graph.name, 100)
+        server.submit(job)
+        sim.run(until=0.0)
+        charges.clear()
+        scheduler.on_node_done(job, host)
+        assert charges == []
+        scheduler.on_node_done(job, unprofiled)
+        assert charges == [0.0]
+        scheduler.on_node_done(job, gpu[1])
+        assert charges == [0.0, profile.cost(gpu[1].node_id)]
+        sim.run()
+
     def test_quantum_validation(self, tiny_graph):
         sim = Simulator()
         store, _ = make_store(tiny_graph)

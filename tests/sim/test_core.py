@@ -101,6 +101,96 @@ class TestTimeout:
         assert log == ["a", "b", "c"]
 
 
+def _mixed_program(sim, log):
+    """Sleepers and timed callbacks interleaved at shared deadlines."""
+
+    def sleeper(tag, delay):
+        yield sim.timeout(delay)
+        log.append((sim.now, "sleep", tag))
+        sim.call_later(0.0, lambda value: log.append((sim.now, "cb0", value)), tag)
+
+    def call(tag):
+        log.append((sim.now, "call", tag))
+        if tag < 40:
+            sim.call_later(0.5 * (tag % 3), call, tag + 3)
+
+    for tag in range(3):
+        sim.call_later(1.0, call, tag)
+        sim.process(sleeper(tag, 1.0))
+        sim.process(sleeper(tag + 10, 1.5))
+
+
+class TestCallLater:
+    def test_runs_callback_with_value_at_deadline(self, sim):
+        seen = []
+        sim.call_later(2.5, lambda value: seen.append((sim.now, value)), "x")
+        sim.run()
+        assert seen == [(2.5, "x")]
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.call_later(-1.0, print)
+
+    def test_orders_like_a_timeout_made_at_the_same_moment(self, sim):
+        log = []
+
+        def sleeper(tag):
+            yield sim.timeout(1.0)
+            log.append(tag)
+
+        sim.process(sleeper("a"))
+        sim.run(until=0.5)
+        # Both are created at t=0.5: the timeout first, then the call.
+        sim.process(sleeper("b"))
+        sim.step()  # starts b: its timeout enters the calendar
+        sim.call_later(1.0, log.append, "call")
+        sim.process(sleeper("c"))
+        sim.run()
+        assert log == ["a", "b", "call", "c"]
+
+    def test_active_process_is_none_inside_callback(self, sim):
+        seen = []
+
+        def proc():
+            sim.call_later(0.0, lambda _: seen.append(sim.active_process))
+            yield sim.timeout(1.0)
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [None]
+
+    @pytest.mark.parametrize("runner", ["run_reference", "guarded"])
+    def test_every_dispatch_loop_agrees(self, runner):
+        logs = {}
+        for name in ("run", runner):
+            sim = Simulator()
+            log = []
+            _mixed_program(sim, log)
+            if name == "guarded":
+                sim.run(max_steps=10_000)
+            else:
+                getattr(sim, name)()
+            logs[name] = log
+        assert logs[runner] == logs["run"]
+        assert len(logs["run"]) > 20
+
+    @pytest.mark.parametrize("runner", ["run", "run_reference"])
+    def test_dispatched_calls_are_recycled(self, runner):
+        sim = Simulator()
+        count = [0]
+
+        def tick(n):
+            count[0] += 1
+            if n:
+                sim.call_later(1e-6, tick, n - 1)
+
+        sim.call_later(0.0, tick, 10_000)
+        getattr(sim, runner)()
+        assert count[0] == 10_001
+        assert sim.pools.timeout_allocs == 1
+        assert sim.pools.stats()["pooled_calls"] == 1
+
+
 class TestEvent:
     def test_succeed_wakes_waiter_with_value(self, sim):
         event = sim.event()
