@@ -12,7 +12,7 @@ from repro.experiments import ExperimentConfig, get_graph, get_profiler_output
 from repro.metrics import percentile, render_table
 from repro.serving import ModelServer, ServerConfig
 from repro.sim import Simulator
-from repro.workloads import bursty_trace, replay
+from repro.workloads import bursty_trace, drive
 from benchmarks.conftest import run_once
 
 SCALE = 0.05
@@ -44,7 +44,7 @@ def _run(kind: str):
         sim, ServerConfig(track_memory=False, seed=4), scheduler=scheduler
     )
     server.load_model(graph)
-    outcome = replay(sim, server, trace)
+    outcome = drive(sim, server, trace)
     sim.run()
     return outcome
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["main", "build_parser"]
 
@@ -120,6 +120,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_input(loader: Callable[[str], Any], path: str) -> Any:
+    """``loader(path)``, or None after printing a usage error for an
+    input file that is missing, unreadable or malformed."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except (ValueError, KeyError, TypeError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+    print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+    return None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .core import load_profiler_output
     from .experiments import ExperimentConfig, run_workload
@@ -154,7 +167,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     bundle = None
     if args.profiles:
-        bundle = load_profiler_output(args.profiles)
+        bundle = _load_input(load_profiler_output, args.profiles)
+        if bundle is None:
+            return 2
     plan = None
     if args.fault_plan and args.fault_seed is not None:
         print(
@@ -163,7 +178,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 2
     if args.fault_plan:
-        plan = FaultPlan.load(args.fault_plan)
+        plan = _load_input(FaultPlan.load, args.fault_plan)
+        if plan is None:
+            return 2
     elif args.fault_seed is not None:
         plan = FaultPlan.generate(
             args.fault_seed,
@@ -294,7 +311,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         if not args.plan:
             print("error: `faults show` needs a plan file", file=sys.stderr)
             return 2
-        plan = FaultPlan.load(args.plan)
+        plan = _load_input(FaultPlan.load, args.plan)
+        if plan is None:
+            return 2
         print(plan.describe())
         return 0
     # action == "generate"

@@ -13,19 +13,23 @@ experiment here, built from the same substrate as the reproduction:
   per-GPU Olympian schedulers and client-sticky placement.
 * :func:`energy_comparison` — energy per request under TF-Serving vs
   Olympian's policies, using the two-state device power model.
+
+Every stack comes from :func:`~repro.experiments.runner.build_stack`,
+and the open-loop runs stream a
+:class:`~repro.workloads.trace.RequestTrace` through
+:func:`~repro.workloads.traffic.drive`, the soak harness's front door.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..cluster.placement import StickyClientPlacement
-from ..cluster.server import MultiGpuServer
-from ..core.policies import FairSharing
-from ..core.scheduler import OlympianScheduler
 from ..faults.plan import FaultPlan, FaultSpec
 from ..gpu.power import GTX_1080_TI_POWER, PowerModel, energy_joules
 from ..metrics import stats
@@ -39,12 +43,19 @@ from ..metrics.report import (
 from ..serving.admission import AdmissionConfig, AdmissionGate
 from ..serving.client import Client
 from ..serving.failures import RetryPolicy
-from ..serving.server import ModelServer, ServerConfig
-from ..sim.core import Simulator
 from ..sim.rng import derive_seed
 from ..workloads.scenarios import homogeneous_workload, with_priorities, with_weights
+from ..workloads.trace import RequestTrace, TraceRequest, _poisson_times
+from ..workloads.traffic import drive
 from ..zoo.catalog import INCEPTION_V4
-from .runner import DEFAULT_SCALE, ExperimentConfig, get_graph, get_profiler_output, run_workload
+from .runner import (
+    DEFAULT_SCALE,
+    ExperimentConfig,
+    build_stack,
+    get_graph,
+    get_profiler_output,
+    run_workload,
+)
 
 __all__ = [
     "latency_predictability",
@@ -108,6 +119,20 @@ class LatencyResult:
         )
 
 
+def _poisson_requests(
+    rng: random.Random,
+    rate: float,
+    count: int,
+    batch_size: int,
+    slo: Optional[float] = None,
+) -> RequestTrace:
+    """``count`` Inception-v4 requests arriving as a Poisson process."""
+    times = itertools.islice(_poisson_times(rng, rate, math.inf), count)
+    return RequestTrace(
+        [TraceRequest(t, INCEPTION_V4.name, batch_size, slo) for t in times]
+    )
+
+
 def _open_loop_run(
     scheduler_kind: str,
     arrival_rate: float,
@@ -117,45 +142,20 @@ def _open_loop_run(
     seed: int,
     quantum: float,
 ) -> List[float]:
-    graph = get_graph(INCEPTION_V4.name, scale, 1)
-    config = ExperimentConfig(scale=scale, seed=seed, quantum=quantum)
-    sim = Simulator()
-    if scheduler_kind == "fair":
-        output = get_profiler_output(
-            [(INCEPTION_V4.name, batch_size)], config
-        )
-        scheduler = OlympianScheduler(
-            sim, FairSharing(), quantum=output.quantum, profiles=output.store
-        )
-    else:
-        scheduler = None
-    server = ModelServer(
-        sim,
-        ServerConfig(track_memory=False, seed=derive_seed(seed, scheduler_kind)),
-        scheduler=scheduler,
+    stack = build_stack(
+        [(INCEPTION_V4.name, batch_size)],
+        scheduler_kind,
+        config=ExperimentConfig(scale=scale, seed=seed, quantum=quantum),
     )
-    server.load_model(graph)
     rng = random.Random(derive_seed(seed, f"arrivals:{scheduler_kind}"))
-    latencies: List[float] = []
-
-    def request_stream():
-        for index in range(num_requests):
-            yield sim.timeout(rng.expovariate(arrival_rate))
-            job = server.make_job(f"req{index}", graph.name, batch_size)
-            sim.process(_track(job))
-
-    def _track(job):
-        done = server.submit(job)
-        yield done
-        latencies.append(job.latency)
-
-    sim.process(request_stream(), name="open-loop-arrivals")
-    sim.run()
-    if len(latencies) != num_requests:
+    trace = _poisson_requests(rng, arrival_rate, num_requests, batch_size)
+    traffic = drive(stack.sim, stack.server, trace)
+    stack.sim.run()
+    if traffic.completed != num_requests:
         raise RuntimeError(
-            f"open-loop run lost requests: {len(latencies)}/{num_requests}"
+            f"open-loop run lost requests: {traffic.completed}/{num_requests}"
         )
-    return latencies
+    return traffic.latencies
 
 
 def latency_predictability(
@@ -230,36 +230,27 @@ def multigpu_scaling(
     seed: int = 5,
     quantum: float = 1.2e-3,
 ) -> MultiGpuResult:
-    graph = get_graph(INCEPTION_V4.name, scale, 1)
+    entries = [(INCEPTION_V4.name, batch_size)]
     config = ExperimentConfig(scale=scale, seed=seed, quantum=quantum)
-    output = get_profiler_output([(INCEPTION_V4.name, batch_size)], config)
+    output = get_profiler_output(entries, config)
     makespans: Dict[int, float] = {}
     fairness: Dict[int, float] = {}
     for num_gpus in gpu_counts:
-        sim = Simulator()
-
-        def factory(sim_, server):
-            return OlympianScheduler(
-                sim_, FairSharing(), quantum=output.quantum,
-                profiles=output.store,
-            )
-
-        cluster = MultiGpuServer(
-            sim,
-            num_gpus,
-            config=ServerConfig(track_memory=False, seed=seed),
-            scheduler_factory=factory,
-            placement=StickyClientPlacement(),
+        stack = build_stack(
+            entries, "fair", config=config, profiler_output=output,
+            gpus=num_gpus,
         )
-        cluster.load_model(graph)
+        if num_gpus > 1:
+            # Client-sticky by definition; a single GPU is a plain server.
+            stack.server.placement = StickyClientPlacement()
         clients = [
-            Client(sim, cluster, f"c{i}", graph.name, batch_size,
-                   num_batches=num_batches)
+            Client(stack.sim, stack.server, f"c{i}", INCEPTION_V4.name,
+                   batch_size, num_batches=num_batches)
             for i in range(num_clients)
         ]
         for client in clients:
             client.start()
-        sim.run()
+        stack.sim.run()
         makespans[num_gpus] = max(c.finished_at for c in clients)
         fairness[num_gpus] = stats.jain_index(
             [c.total_gpu_duration() for c in clients]
@@ -390,9 +381,9 @@ def slo_attainment(
     concurrency ceiling never binds and nothing is deferred)."""
     from ..slo import FairShareEstimator
 
-    graph = get_graph(INCEPTION_V4.name, scale, 1)
+    entries = [(INCEPTION_V4.name, batch_size)]
     config = ExperimentConfig(scale=scale, seed=seed, quantum=quantum)
-    output = get_profiler_output([(INCEPTION_V4.name, batch_size)], config)
+    output = get_profiler_output(entries, config)
     demand = output.store.lookup(INCEPTION_V4.name, batch_size).gpu_duration
     slo = slo_multiplier * demand
     arrival_rate = overload / demand
@@ -402,20 +393,10 @@ def slo_attainment(
     rejected: Dict[str, int] = {}
 
     for system in ("tf-serving", "fair", "fair+admission"):
-        sim = Simulator()
-        if system == "tf-serving":
-            scheduler = None
-        else:
-            scheduler = OlympianScheduler(
-                sim, FairSharing(), quantum=output.quantum,
-                profiles=output.store,
-            )
-        server = ModelServer(
-            sim,
-            ServerConfig(track_memory=False, seed=derive_seed(seed, system)),
-            scheduler=scheduler,
+        kind = "tf-serving" if system == "tf-serving" else "fair"
+        stack = build_stack(
+            entries, kind, config=config, profiler_output=output
         )
-        server.load_model(graph)
         gate = None
         if system == "fair+admission":
             estimator = FairShareEstimator(
@@ -424,34 +405,18 @@ def slo_attainment(
             gate = AdmissionGate(
                 AdmissionConfig(max_active=num_requests, defer=False),
                 estimator=estimator,
-            ).attach(server)
-        rng = random.Random(derive_seed(seed, f"slo-arrivals"))
-        outcomes: List[bool] = []
-
-        def track(job, admitted_at, done):
-            yield done
-            outcomes.append(job.finished_at - admitted_at <= slo)
-
-        def arrivals():
-            for index in range(num_requests):
-                yield sim.timeout(rng.expovariate(arrival_rate))
-                job = server.make_job(f"r{index}", graph.name, batch_size)
-                if gate is not None:
-                    decision = gate.submit(job, slo=slo)
-                    if decision.action == "reject":
-                        continue
-                    done = decision.done
-                else:
-                    done = server.submit(job)
-                sim.process(track(job, sim.now, done))
-
-        sim.process(arrivals(), name="slo-arrivals")
-        sim.run()
-        completed = len(outcomes)
-        met = sum(outcomes)
+            ).attach(stack.server)
+        rng = random.Random(derive_seed(seed, "slo-arrivals"))
+        trace = _poisson_requests(
+            rng, arrival_rate, num_requests, batch_size, slo=slo
+        )
+        traffic = drive(stack.sim, stack.server, trace, gate=gate)
+        stack.sim.run()
+        met = sum(latency <= slo for latency in traffic.latencies)
+        completed = traffic.completed
         attainment[system] = met / completed if completed else 0.0
         goodput[system] = met
-        rejected[system] = gate.rejected if gate is not None else 0
+        rejected[system] = traffic.rejected
 
     return SloResult(
         slo=slo,

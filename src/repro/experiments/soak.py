@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..durability import JobStore, resume_plan
 from ..faults.plan import FaultPlan, FaultSpec
-from ..recovery import BreakerConfig, BrownoutConfig, RecoveryConfig
+from ..recovery import BreakerConfig, RecoveryConfig
 from ..serving.admission import AdmissionConfig, AdmissionGate
 from ..sim.rng import derive_seed
 from ..workloads.traffic import (
@@ -89,8 +89,8 @@ class SoakConfig:
     headroom: float = 0.85
     max_pending_total: int = 64
     max_pending_per_tenant: int = 32
-    # Recovery (failover + breakers + brownout above the gate ceiling,
-    # so the gate — not the recovery layer — does the shedding).
+    # Recovery (failover + breakers; every arrival and resumed job
+    # enters through the gate, which does all the shedding).
     max_failovers: int = 16
 
     def __post_init__(self):
@@ -142,12 +142,6 @@ class SoakConfig:
             failover=True,
             max_failovers=self.max_failovers,
             breaker=BreakerConfig(),
-            # The gate's ceiling sits below this, so brownout shedding
-            # stays a backstop rather than the primary control.
-            brownout=BrownoutConfig(
-                max_active=self.max_active + 2,
-                max_pending=self.max_pending_total,
-            ),
         )
 
 

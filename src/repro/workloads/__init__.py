@@ -7,7 +7,7 @@ from .generators import (
     staggered,
 )
 from .trace import (
-    ReplayOutcome,
+    Arrival,
     RequestTrace,
     TraceRequest,
     bursty_trace,
@@ -16,10 +16,8 @@ from .trace import (
     iter_diurnal,
     iter_poisson,
     poisson_trace,
-    replay,
 )
 from .traffic import (
-    Arrival,
     ModelMix,
     TrafficConfig,
     TrafficEngine,
@@ -50,7 +48,6 @@ __all__ = [
     "scaling_workload",
     "with_priorities",
     "with_weights",
-    "ReplayOutcome",
     "RequestTrace",
     "TraceRequest",
     "bursty_trace",
@@ -59,7 +56,6 @@ __all__ = [
     "iter_diurnal",
     "iter_poisson",
     "poisson_trace",
-    "replay",
     "Arrival",
     "ModelMix",
     "TrafficConfig",

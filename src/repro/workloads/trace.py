@@ -1,4 +1,4 @@
-"""Trace-driven workloads: record, generate, and replay request traces.
+"""Trace-driven workloads: record, generate, and stream request traces.
 
 Production serving systems are driven by request logs, not by closed
 loops of synthetic clients.  This module gives the reproduction that
@@ -12,23 +12,25 @@ workloads"):
   (sinusoidal rate), and bursty on/off (a two-state MMPP) — the
   "intermittent and bursty GPU usage" the paper's introduction
   motivates multiplexing with.
-* :func:`replay` — drive any server with a trace and collect per-request
-  outcomes.
+* :meth:`RequestTrace.arrivals` — the trace as a stream of
+  :class:`Arrival` records, so :func:`~repro.workloads.traffic.drive`
+  replays it like any other open-loop source.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
-from ..sim.core import Simulator
 from ..sim.rng import derive_seed
 
 __all__ = [
+    "Arrival",
     "TraceRequest",
     "RequestTrace",
     "iter_poisson",
@@ -37,11 +39,35 @@ __all__ = [
     "poisson_trace",
     "diurnal_trace",
     "bursty_trace",
-    "replay",
-    "ReplayOutcome",
 ]
 
 _PathLike = Union[str, Path]
+
+
+@dataclass(frozen=True)
+class Arrival:
+    """One open-loop request: who arrives, when, asking for what."""
+
+    index: int
+    time: float
+    tenant: str
+    user: str
+    model: str
+    batch_size: int
+    slo: Optional[float] = None
+    priority: int = 0
+
+    @property
+    def request_id(self) -> str:
+        """Stable identity: the same (config, seed) stream always
+        assigns the same id to the same arrival — the key the durable
+        job store journals under."""
+        return f"r{self.index}"
+
+    @property
+    def deadline(self) -> Optional[float]:
+        """Absolute deadline implied by the SLO, if any."""
+        return None if self.slo is None else self.time + self.slo
 
 
 @dataclass(frozen=True)
@@ -89,6 +115,24 @@ class RequestTrace:
     @property
     def models(self) -> List[str]:
         return sorted({r.model for r in self.requests})
+
+    def arrivals(self, limit: Optional[int] = None) -> Iterator[Arrival]:
+        """The trace as :func:`~repro.workloads.traffic.drive` input.
+
+        Request ``i`` becomes arrival ``i`` at its recorded instant,
+        sent by its own user ``u{i}`` of the single tenant ``t0``.
+        """
+        requests = itertools.islice(self.requests, limit)
+        for index, request in enumerate(requests):
+            yield Arrival(
+                index=index,
+                time=request.arrival,
+                tenant="t0",
+                user=f"u{index}",
+                model=request.model,
+                batch_size=request.batch_size,
+                slo=request.slo,
+            )
 
     def mean_rate(self) -> float:
         """Average arrivals per second over the trace span."""
@@ -332,84 +376,3 @@ def bursty_trace(
             )
         )
     )
-
-
-# ----------------------------------------------------------------------
-# Replay
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ReplayOutcome:
-    """Per-request results of one trace replay."""
-
-    latencies: List[float]
-    slo_hits: int
-    slo_misses: int
-    rejected: int
-
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    def slo_attainment(self) -> float:
-        total = self.slo_hits + self.slo_misses
-        if total == 0:
-            raise ValueError("trace carried no SLOs")
-        return self.slo_hits / total
-
-
-def replay(
-    sim: Simulator,
-    server,
-    trace: Iterable[TraceRequest],
-    gate=None,
-) -> ReplayOutcome:
-    """Replay ``trace`` against ``server``; returns the outcome.
-
-    ``server`` is anything with ``make_job``/``submit`` (a
-    :class:`~repro.serving.server.ModelServer` or a
-    :class:`~repro.cluster.server.MultiGpuServer`).  ``trace`` is a
-    :class:`RequestTrace` or any (possibly lazy) iterable of
-    time-ordered :class:`TraceRequest` — the driver pulls requests one
-    at a time, so an ``iter_*`` generator streams without ever being
-    materialised.  With a ``gate`` (an attached
-    :class:`~repro.serving.admission.AdmissionGate`, as in
-    :func:`~repro.workloads.traffic.drive`) every request goes through
-    admission, carrying its SLO for the gate's estimator check;
-    rejected requests are counted, not served.  The caller runs
-    ``sim.run()`` afterwards.
-    """
-    outcome = ReplayOutcome(latencies=[], slo_hits=0, slo_misses=0, rejected=0)
-
-    def track(request, job, done):
-        submitted = sim.now
-        yield done
-        latency = job.finished_at - submitted
-        outcome.latencies.append(latency)
-        if request.slo is not None:
-            if latency <= request.slo:
-                outcome.slo_hits += 1
-            else:
-                outcome.slo_misses += 1
-
-    def driver():
-        start = sim.now
-        for index, request in enumerate(trace):
-            delay = start + request.arrival - sim.now
-            if delay > 0:
-                yield sim.timeout(delay)
-            job = server.make_job(f"trace{index}", request.model,
-                                  request.batch_size)
-            if gate is None:
-                done = server.submit(job)
-            else:
-                decision = gate.submit(job, slo=request.slo)
-                if decision.action == "reject":
-                    outcome.rejected += 1
-                    continue
-                job, done = decision.job, decision.done
-            sim.process(track(request, job, done))
-
-    sim.process(driver(), name="trace-replay")
-    return outcome

@@ -24,10 +24,12 @@ determines the arrival stream: re-iterating regenerates byte-identical
 arrivals, which is what lets the durable control plane re-derive "the
 rest of the traffic" after a crash-restart instead of persisting it.
 
-:func:`drive` plugs the stream into any serving front (duck-typed like
-:func:`repro.workloads.trace.replay`), optionally through an admission
-gate, with callbacks for journaling — the seam the soak harness and
-``experiments`` runners build on.
+:func:`drive` plugs the stream into any serving front (anything with
+``make_job``/``submit``), optionally through an admission gate, with
+callbacks for journaling — the seam the soak harness and
+``experiments`` runners build on.  It is the only open-loop pump: a
+recorded :class:`~repro.workloads.trace.RequestTrace` streams through
+it too, via :meth:`~repro.workloads.trace.RequestTrace.arrivals`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..sim.core import Simulator
 from ..sim.rng import derive_seed
-from .trace import _bursty_times, _diurnal_times, _poisson_times
+from .trace import Arrival, _bursty_times, _diurnal_times, _poisson_times
 
 __all__ = [
     "ModelMix",
@@ -124,32 +126,6 @@ class TrafficConfig:
             )
         if self.peak_ratio < 1.0 or self.burst_ratio <= 0:
             raise ValueError("peak_ratio must be >= 1, burst_ratio > 0")
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """One open-loop request: who arrives, when, asking for what."""
-
-    index: int
-    time: float
-    tenant: str
-    user: str
-    model: str
-    batch_size: int
-    slo: Optional[float] = None
-    priority: int = 0
-
-    @property
-    def request_id(self) -> str:
-        """Stable identity: the same (config, seed) stream always
-        assigns the same id to the same arrival — the key the durable
-        job store journals under."""
-        return f"r{self.index}"
-
-    @property
-    def deadline(self) -> Optional[float]:
-        """Absolute deadline implied by the SLO, if any."""
-        return None if self.slo is None else self.time + self.slo
 
 
 def _zipf_index(u: float, skew: float, n: int) -> int:
@@ -301,6 +277,9 @@ def drive(
 ) -> TrafficStats:
     """Stream ``engine``'s arrivals into ``server`` as an open loop.
 
+    ``engine`` is anything with ``arrivals(limit=)`` yielding
+    time-ordered :class:`Arrival` records: a :class:`TrafficEngine` or
+    a recorded :class:`~repro.workloads.trace.RequestTrace`.
     ``gate`` is an optional admission gate (anything with
     ``submit(job, tenant=..., slo=...) -> decision`` returning an
     object with ``action``/``reason``/``job``/``done``); without one,

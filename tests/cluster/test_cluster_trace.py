@@ -1,4 +1,4 @@
-"""Integration: trace replay against a multi-GPU cluster."""
+"""Integration: a recorded trace driven into a multi-GPU cluster."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.core import (
 from repro.graph import CostModel
 from repro.serving import ServerConfig
 from repro.sim import Simulator
-from repro.workloads import poisson_trace, replay
+from repro.workloads import drive, poisson_trace
 
 
 @pytest.fixture
@@ -39,14 +39,14 @@ def cluster_stack(tiny_graph):
     return sim, cluster, profile
 
 
-class TestClusterTraceReplay:
-    def test_replay_completes_and_spreads_load(self, cluster_stack, tiny_graph):
+class TestClusterTraceDrive:
+    def test_drive_completes_and_spreads_load(self, cluster_stack, tiny_graph):
         sim, cluster, profile = cluster_stack
         rate = 1.5 / profile.gpu_duration  # needs >1 GPU to keep up
         trace = poisson_trace(
             rate, profile.gpu_duration * 30, tiny_graph.name, 100, seed=11
         )
-        outcome = replay(sim, cluster, trace)
+        outcome = drive(sim, cluster, trace)
         sim.run()
         assert outcome.completed == len(trace)
         counts = cluster.routing_counts()
@@ -78,12 +78,12 @@ class TestClusterTraceReplay:
                 scheduler=scheduler,
             )
             server.load_model(tiny_graph)
-            outcome = replay(sim, server, trace)
+            outcome = drive(sim, server, trace)
             sim.run()
             return sum(outcome.latencies) / len(outcome.latencies)
 
         sim, cluster, _ = cluster_stack
-        outcome = replay(sim, cluster, trace)
+        outcome = drive(sim, cluster, trace)
         sim.run()
         cluster_mean = sum(outcome.latencies) / len(outcome.latencies)
         assert cluster_mean < 0.8 * mean_latency_single()

@@ -332,3 +332,38 @@ class TestSoak:
         out = capsys.readouterr().out
         for flag in ("--seed", "--quick", "--gpus", "--out"):
             assert flag in out
+
+
+class TestUnreadableInputFiles:
+    """A missing or malformed input file is a usage error (exit 2 with
+    one ``error: cannot read`` line), not a traceback."""
+
+    ARGVS = {
+        "faults-show": ["faults", "show"],
+        "serve-fault-plan": [
+            "serve", "--clients", "1", "--batches", "1", "--scale", "0.02",
+            "--fault-plan",
+        ],
+        "serve-profiles": [
+            "serve", "--clients", "1", "--batches", "1", "--scale", "0.02",
+            "--profiles",
+        ],
+    }
+
+    @pytest.mark.parametrize("flag", sorted(ARGVS))
+    def test_missing_file(self, flag, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(self.ARGVS[flag] + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "No such file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", sorted(ARGVS))
+    def test_malformed_file(self, flag, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(self.ARGVS[flag] + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: JSONDecodeError")
+        assert err.count("\n") == 1

@@ -1,4 +1,4 @@
-"""Tests for trace-driven workloads: generation, persistence, replay."""
+"""Tests for trace-driven workloads: generation, persistence, driving."""
 
 import hashlib
 
@@ -22,8 +22,8 @@ from repro.workloads import (
     iter_bursty,
     iter_diurnal,
     iter_poisson,
+    drive,
     poisson_trace,
-    replay,
 )
 
 
@@ -123,7 +123,7 @@ class TestGenerators:
             bursty_trace(0.0, 0.0, 1.0, 1.0, 1.0, "m", 10)
 
 
-class TestReplay:
+class TestDrive:
     def _stack(self, tiny_graph, with_admission=False):
         sim = Simulator()
         costs = CostModel(noise=0.0).exact(tiny_graph, 100)
@@ -146,25 +146,35 @@ class TestReplay:
             ).attach(server)
         return sim, server, gate, profile
 
-    def test_replay_completes_all_requests(self, tiny_graph):
+    def test_drive_completes_all_requests(self, tiny_graph):
         sim, server, _, _ = self._stack(tiny_graph)
         trace = poisson_trace(20.0, 1.0, tiny_graph.name, 100, seed=7)
-        outcome = replay(sim, server, trace)
+        stats = drive(sim, server, trace)
         sim.run()
-        assert outcome.completed == len(trace)
-        assert all(latency > 0 for latency in outcome.latencies)
-        assert outcome.rejected == 0
+        assert stats.completed == len(trace)
+        assert all(latency > 0 for latency in stats.latencies)
+        assert stats.rejected == 0
 
-    def test_replay_tracks_slos(self, tiny_graph):
+    def test_drive_carries_trace_slos(self, tiny_graph):
         sim, server, _, profile = self._stack(tiny_graph)
         slo = profile.gpu_duration * 50  # generous
         trace = poisson_trace(5.0, 1.0, tiny_graph.name, 100, seed=8, slo=slo)
-        outcome = replay(sim, server, trace)
+        deadlines = []
+        stats = drive(
+            sim, server, trace,
+            on_admitted=lambda arrival, job: deadlines.append(
+                (job.deadline, arrival.deadline)
+            ),
+        )
         sim.run()
-        assert outcome.slo_hits + outcome.slo_misses == len(trace)
-        assert outcome.slo_attainment() > 0.9
+        assert stats.completed == len(trace)
+        assert len(deadlines) == len(trace)
+        for job_deadline, arrival_deadline in deadlines:
+            assert job_deadline == pytest.approx(arrival_deadline)
+        met = sum(latency <= slo for latency in stats.latencies)
+        assert met / stats.completed > 0.9
 
-    def test_replay_with_admission_rejects_overload(self, tiny_graph):
+    def test_drive_with_admission_rejects_overload(self, tiny_graph):
         sim, server, gate, profile = self._stack(
             tiny_graph, with_admission=True
         )
@@ -173,19 +183,37 @@ class TestReplay:
         rate = 5.0 / profile.gpu_duration
         trace = poisson_trace(rate, profile.gpu_duration * 20,
                               tiny_graph.name, 100, seed=9, slo=slo)
-        outcome = replay(sim, server, trace, gate=gate)
+        stats = drive(sim, server, trace, gate=gate)
         sim.run()
-        assert outcome.rejected > 0
-        assert outcome.completed + outcome.rejected == len(trace)
-        assert outcome.slo_attainment() == 1.0
+        assert stats.rejected > 0
+        assert stats.reject_reasons == {"slo-hopeless": stats.rejected}
+        assert stats.completed + stats.rejected == len(trace)
+        assert all(latency <= slo for latency in stats.latencies)
 
-    def test_replay_without_slos_has_no_attainment(self, tiny_graph):
+    def test_drive_submits_at_each_arrival_instant(self, tiny_graph):
         sim, server, _, _ = self._stack(tiny_graph)
-        trace = poisson_trace(10.0, 0.5, tiny_graph.name, 100, seed=10)
-        outcome = replay(sim, server, trace)
+        trace = RequestTrace([
+            TraceRequest(0.001, tiny_graph.name, 100),
+            TraceRequest(0.0025, tiny_graph.name, 100, slo=0.5),
+            TraceRequest(0.004, tiny_graph.name, 100),
+        ])
+        submitted = []
+        stats = drive(
+            sim, server, trace,
+            on_admitted=lambda arrival, job: submitted.append(
+                (arrival.request_id, job.client_id, sim.now)
+            ),
+        )
         sim.run()
-        with pytest.raises(ValueError):
-            outcome.slo_attainment()
+        assert stats.completed == 3
+        assert submitted == [
+            ("r0", "u0", 0.001), ("r1", "u1", 0.0025), ("r2", "u2", 0.004)
+        ]
+        first_two = list(trace.arrivals(limit=2))
+        assert [a.index for a in first_two] == [0, 1]
+        assert first_two[1].time == 0.0025
+        assert first_two[1].slo == 0.5
+        assert {a.tenant for a in trace.arrivals()} == {"t0"}
 
 
 class TestLazyIterators:
@@ -248,12 +276,3 @@ class TestLazyIterators:
         # A 1000x longer stream must not move the allocation peak.
         assert long < 2 * short
         assert long < 256 * 1024
-
-    def test_replay_accepts_a_lazy_stream(self, tiny_graph):
-        stack = TestReplay()
-        sim, server, _, _ = stack._stack(tiny_graph)
-        stream = iter_poisson(20.0, 1.0, tiny_graph.name, 100, seed=7)
-        outcome = replay(sim, server, stream)
-        sim.run()
-        eager = poisson_trace(20.0, 1.0, tiny_graph.name, 100, seed=7)
-        assert outcome.completed == len(eager)
