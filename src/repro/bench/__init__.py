@@ -15,6 +15,10 @@ that cost and gates it, so a speedup landed once cannot silently rot:
 * **Determinism table** — `trace_digest` for every scheduler kind plus
   the Fig 16 runs; an optimisation that changes any digest is a bug,
   however fast.
+* **Garbage collector** — CPython's cyclic-GC collections per
+  generation during the Fig 16 digest runs, and the seconds spent in
+  them (:class:`GcMeter`).  Report only: the counts depend on the
+  CPython version.
 * **Telemetry A/B** — the fair Fig 16 run with telemetry off vs
   ``verbosity="full"``: the wall-clock ratio is gated
   (``telemetry_overhead_ratio``) and the telemetry-on digest is pinned
@@ -36,6 +40,7 @@ not a loophole — no simulated quantity ever depends on these reads.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -54,6 +59,7 @@ __all__ = [
     "run_benchmarks",
     "blame_profile",
     "check_against_baseline",
+    "GcMeter",
     "main",
 ]
 
@@ -78,6 +84,46 @@ def _timed(fn: Callable[[], Any]) -> Tuple[float, Any]:
     start = _now()
     value = fn()
     return _now() - start, value
+
+
+class GcMeter:
+    """Counts CPython's cyclic-GC collections, and their seconds, while open.
+
+    A ``with`` block registers a ``gc.callbacks`` hook that counts each
+    collection under its generation and times it from its ``start`` to
+    its ``stop`` callback.  The counts depend on the CPython version
+    (thresholds and heuristics change between releases), so the bench
+    report carries them without a gate.
+    """
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def _on_collection(self, phase: str, info: Dict[str, Any]) -> None:
+        if phase == "start":
+            self._started = _now()
+            return
+        self.collections[info["generation"]] += 1
+        self.seconds += _now() - self._started
+
+    def __enter__(self) -> "GcMeter":
+        gc.callbacks.append(self._on_collection)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        gc.callbacks.remove(self._on_collection)
+
+    def report(self) -> Dict[str, Any]:
+        gen0, gen1, gen2 = self.collections
+        return {
+            "gen0": gen0,
+            "gen1": gen1,
+            "gen2": gen2,
+            "seconds": self.seconds,
+            "python": ".".join(map(str, sys.version_info[:3])),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -289,13 +335,14 @@ def _cold_profile_build(entries, config) -> Tuple[float, Any]:
 
 def bench_fig16(
     num_batches: int, repeat: int = 2, cold: bool = True
-) -> Tuple[float, float, Dict[str, str]]:
-    """(profile_build_s, e2e_best_s, digests) for the Fig 16 workload.
+) -> Tuple[float, float, Dict[str, str], Dict[str, Any]]:
+    """(profile_build_s, e2e_best_s, digests, gc) for the Fig 16 workload.
 
     The profile build is timed separately and, unless ``cold`` is off,
     from nothing (:func:`_cold_profile_build`): the solo runs plus the
     forked Overhead-Q sweep, never a cache hit.  The scheduled fair and
-    tf-serving runs are timed together, best of ``repeat``.
+    tf-serving runs are timed together, best of ``repeat``.  ``gc`` is
+    the :class:`GcMeter` report of the first repetition's two runs.
     """
     from ..experiments.runner import (
         ExperimentConfig,
@@ -314,22 +361,29 @@ def bench_fig16(
 
     best = None
     digests: Dict[str, str] = {}
+    gc_report: Dict[str, Any] = {}
     for _ in range(max(1, repeat)):
-        start = _now()
-        fair = run_workload(
-            specs, scheduler="fair", config=config, profiler_output=output
-        )
-        tfs = run_workload(
-            specs, scheduler="tf-serving", config=config, profiler_output=output
-        )
-        elapsed = _now() - start
+        with GcMeter() as meter:
+            start = _now()
+            fair = run_workload(
+                specs, scheduler="fair", config=config, profiler_output=output
+            )
+            tfs = run_workload(
+                specs,
+                scheduler="tf-serving",
+                config=config,
+                profiler_output=output,
+            )
+            elapsed = _now() - start
+        if not gc_report:
+            gc_report = meter.report()
         best = elapsed if best is None else min(best, elapsed)
         # Digest keys carry the batch count: quick (2 batches) and full
         # (6 batches) runs are different workloads with different — but
         # individually deterministic — digests.
         digests[f"fig16-fair@nb{num_batches}"] = fair.trace_digest()
         digests[f"fig16-tf-serving@nb{num_batches}"] = tfs.trace_digest()
-    return profile_s, best, digests
+    return profile_s, best, digests, gc_report
 
 
 def bench_telemetry(
@@ -457,7 +511,9 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         batch_eps = _best_of(3, bench_batch_advance, rounds=500, gang=32)
         tracer_rps = _best_of(3, bench_tracer, records=50000)
         resources_ops = _best_of(3, bench_resources, ops=10000)
-        profile_s, e2e_s, fig_digests = bench_fig16(num_batches=2, repeat=2)
+        profile_s, e2e_s, fig_digests, fig_gc = bench_fig16(
+            num_batches=2, repeat=2
+        )
         off_s, on_s, telemetry_digests = bench_telemetry(
             num_batches=2, repeat=2
         )
@@ -469,7 +525,9 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         batch_eps = _best_of(3, bench_batch_advance)
         tracer_rps = _best_of(3, bench_tracer)
         resources_ops = _best_of(3, bench_resources)
-        profile_s, e2e_s, fig_digests = bench_fig16(num_batches=6, repeat=3)
+        profile_s, e2e_s, fig_digests, fig_gc = bench_fig16(
+            num_batches=6, repeat=3
+        )
         off_s, on_s, telemetry_digests = bench_telemetry(
             num_batches=6, repeat=2
         )
@@ -483,6 +541,11 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
     say(f"resources          {resources_ops:>12,.0f} ops/s")
     say(f"fig16 profile      {profile_s:>12.3f} s (cold build)")
     say(f"fig16 e2e          {e2e_s:>12.3f} s")
+    say(
+        f"fig16 gc           {fig_gc['gen0']}/{fig_gc['gen1']}/"
+        f"{fig_gc['gen2']} collections, {fig_gc['seconds']:.3f} s "
+        f"(report only)"
+    )
     say(
         f"telemetry overhead {telemetry_ratio:>12.2f} x "
         f"({off_s:.3f} s off -> {on_s:.3f} s full)"
@@ -508,6 +571,8 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
             "telemetry_overhead_ratio": _metric(telemetry_ratio, "x", False),
         },
         "digests": digests,
+        # Report only: collection counts follow the CPython version.
+        "gc": fig_gc,
     }
 
 

@@ -60,6 +60,17 @@ from typing import Any, Callable, Dict, List, Optional
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return value
+
+
 def _cmd_models(args: argparse.Namespace) -> int:
     from .metrics.report import render_table
     from .zoo import PAPER_MODELS
@@ -141,6 +152,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving import RetryPolicy
     from .workloads import homogeneous_workload
 
+    if args.clients < 1:
+        print(f"error: --clients must be >= 1: {args.clients}", file=sys.stderr)
+        return 2
     if args.streams is not None and args.streams < 1:
         print(f"error: --streams must be >= 1: {args.streams}", file=sys.stderr)
         return 2
@@ -1053,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI smoke shape: one scheduler kind, one process kill",
     )
     soak.add_argument(
-        "--gpus", type=int, default=None,
+        "--gpus", type=_positive_int, default=None,
         help="serve through a multi-GPU front with this many devices",
     )
     soak.add_argument(
@@ -1133,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="artefact id(s) (e.g. fig11 fig16) or `list`",
     )
     reproduce.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes for multiple artefacts (default 1); "
              "output is byte-identical for every N",
     )

@@ -12,7 +12,9 @@ The serial engine is call-driven, not a process.  It never suspends
 mid-kernel, so it runs on timed callbacks
 (:meth:`~repro.sim.core.Simulator.call_later`): starting a kernel
 schedules its completion, and the completion records the busy
-interval, fires the kernel's ``done``, and takes the next kernel from
+interval, fires the kernel's ``done`` (detaching it from the kernel,
+so a finished kernel and its event form no reference cycle and both
+die by refcount), and takes the next kernel from
 the driver (:meth:`~repro.gpu.driver.Driver.pull`).  An idle device
 leaves its start callback with the driver, which calls it from inside
 the next submission.  A kernel therefore costs two calendar events on
@@ -224,7 +226,12 @@ class GpuDevice:
             # The pipeline annotates this with the current token
             # holder, which is how overflow kernels are detected.
             self._emit_kernel("kernel.finished", kernel, exec_time=now - start)
-        kernel.done.succeed(kernel)
+        # Detach ``done`` as it fires: the event holds the kernel as its
+        # value, so keeping the back-reference would make a cycle that
+        # only the cyclic collector could free.
+        done = kernel.done
+        kernel.done = None
+        done.succeed(kernel)
         kernel = self.driver.pull(self._start)
         if kernel is None:
             return
@@ -427,9 +434,13 @@ class GpuDevice:
                 k for k, rem in residents.items() if rem <= _REMAINING_EPS
             ]
             if drained:
+                dones = []
                 for kernel in drained:
                     retire(kernel)
-                sim.succeed_many([k.done for k in drained], drained)
+                    # Detached as it fires, as in the serial ``_finish``.
+                    dones.append(kernel.done)
+                    kernel.done = None
+                sim.succeed_many(dones, drained)
             # Ask for more work while there is stream capacity.
             if staged is None and len(residents) < streams:
                 pending = driver.next_kernel(eligible=eligible)

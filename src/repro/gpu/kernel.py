@@ -22,6 +22,14 @@ class Kernel:
     real GPU driver does *not* use for scheduling (the root cause of
     TF-Serving's unpredictability) but which the simulator's metering
     needs for per-job interval accounting.
+
+    ``done`` is the completion event: it fires with the kernel itself
+    as its value (``result = yield kernel.done``), or fails with the
+    fault that rejected the launch.  The device detaches it as it fires
+    it on completion, so ``done`` is ``None`` once the kernel has
+    completed; ``finished_at`` records when.  (Without the detach the
+    kernel and its event would reference each other, and every
+    executed kernel would be left for the cyclic garbage collector.)
     """
 
     __slots__ = (
@@ -50,7 +58,7 @@ class Kernel:
         self.job_id = job_id
         self.node_id = node_id
         self.duration = duration
-        self.done: Event = sim.event()
+        self.done: Optional[Event] = sim.event()
         self.submitted_at: Optional[float] = None
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None

@@ -90,7 +90,8 @@ def quantum_gpu_durations(
         # Buckets: [start_k, start_{k+1}) for each tenure k; the last
         # bucket is open-ended so a final quantum keeps its overflow.
         sums = [0.0] * len(tenures)
-        for start, end, _tag in server.tracer.rows(job_id):
+        job_starts, job_ends, _tags = server.tracer.columns(job_id)
+        for start, end in zip(job_starts, job_ends):
             index = bisect_right(starts, start) - 1
             if index >= 0:
                 sums[index] += end - start

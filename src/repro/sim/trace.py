@@ -12,17 +12,21 @@ provides:
 
 The tracer sits on the simulation's hot path (one
 :meth:`IntervalTracer.record_pair` per executed GPU kernel, filing the
-span under its job and the device total), so it stores raw
-``(start, end, tag)`` tuples in flat per-key lists and only
-materialises :class:`Interval` objects lazily, when an analysis view
-(:meth:`IntervalTracer.intervals` / :meth:`IntervalTracer.all_intervals`)
-asks for them.  Hot readers use :meth:`IntervalTracer.rows` instead.
+span under its job and the device total), so it stores each key's
+records as three parallel columns (starts, ends, tags) plus one global
+column of keys for record order.  Recording appends scalars only: it
+allocates no tuple, so nothing it keeps is ever traced by CPython's
+cyclic garbage collector.  Every view — :meth:`IntervalTracer.rows`,
+:meth:`IntervalTracer.spans`, the :class:`Interval` objects of
+:meth:`IntervalTracer.intervals` / :meth:`IntervalTracer.all_intervals`
+— is built from the columns when asked for, and never cached.  Hot
+readers use :meth:`IntervalTracer.columns` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Interval",
@@ -94,21 +98,31 @@ def busy_fraction(
     return union_duration(clipped) / (window_end - window_start)
 
 
+# One key's columns: starts, ends and tags, index-aligned.
+_Columns = Tuple[List[float], List[float], List[Any]]
+
+# What :meth:`IntervalTracer.columns` returns for an unrecorded key.
+_NO_COLUMNS = ((), (), ())
+
+
 class IntervalTracer:
     """Records tagged intervals during a simulation run.
 
     Intervals are grouped by ``key`` (typically a job id) so that
     per-job GPU durations can be computed afterwards.  Internally each
-    record is one appended ``(start, end, tag)`` tuple; the
-    :class:`Interval` object views are built on demand.
+    key owns three parallel columns (starts, ends, tags) and one global
+    column records which key each record went to, so recording appends
+    scalars and builds no object; every view (:meth:`rows`,
+    :meth:`spans`, :meth:`intervals`, ...) is computed from the columns
+    on demand and never cached.
     """
 
     def __init__(self):
         self._open: Dict[Any, float] = {}
-        # key -> [(start, end, tag), ...] in record order.
-        self._raw: Dict[Any, List[Tuple[float, float, Any]]] = {}
-        # Global record order: (key, start, end, tag).
-        self._all_raw: List[Tuple[Any, float, float, Any]] = []
+        # key -> (starts, ends, tags), parallel columns in record order.
+        self._columns: Dict[Any, _Columns] = {}
+        # Global record order: the key of each record.
+        self._order: List[Any] = []
 
     def begin(self, key: Any, now: float) -> None:
         """Open an interval for ``key`` at time ``now``."""
@@ -125,17 +139,24 @@ class IntervalTracer:
         self.record(key, start, now, tag)
         return Interval(start, now, tag)
 
+    def _new_key(self, key: Any) -> _Columns:
+        columns = self._columns[key] = ([], [], [])
+        return columns
+
     def record(self, key: Any, start: float, end: float, tag: Any = None) -> None:
         """Record a complete interval directly."""
         if end < start:
             raise ValueError(
                 f"interval ends before it starts: [{start!r}, {end!r})"
             )
-        rows = self._raw.get(key)
-        if rows is None:
-            rows = self._raw[key] = []
-        rows.append((start, end, tag))
-        self._all_raw.append((key, start, end, tag))
+        columns = self._columns.get(key)
+        if columns is None:
+            columns = self._new_key(key)
+        starts, ends, tags = columns
+        starts.append(start)
+        ends.append(end)
+        tags.append(tag)
+        self._order.append(key)
 
     def record_pair(
         self, key: Any, tag: Any, total_key: Any, start: float, end: float
@@ -151,47 +172,71 @@ class IntervalTracer:
             raise ValueError(
                 f"interval ends before it starts: [{start!r}, {end!r})"
             )
-        raw = self._raw
-        rows = raw.get(key)
-        if rows is None:
-            rows = raw[key] = []
-        rows.append((start, end, tag))
-        rows = raw.get(total_key)
-        if rows is None:
-            rows = raw[total_key] = []
-        rows.append((start, end, key))
-        append = self._all_raw.append
-        append((key, start, end, tag))
-        append((total_key, start, end, key))
+        columns = self._columns
+        cols = columns.get(key)
+        if cols is None:
+            cols = self._new_key(key)
+        starts, ends, tags = cols
+        starts.append(start)
+        ends.append(end)
+        tags.append(tag)
+        cols = columns.get(total_key)
+        if cols is None:
+            cols = self._new_key(total_key)
+        starts, ends, tags = cols
+        starts.append(start)
+        ends.append(end)
+        tags.append(key)
+        order = self._order
+        order.append(key)
+        order.append(total_key)
+
+    def columns(
+        self, key: Any
+    ) -> Tuple[Sequence[float], Sequence[float], Sequence[Any]]:
+        """The ``(starts, ends, tags)`` columns for ``key``, in record order.
+
+        The tracer's own lists, not copies: callers must not mutate
+        them.  An unrecorded key has three empty columns.
+        """
+        return self._columns.get(key, _NO_COLUMNS)
 
     def intervals(self, key: Any) -> List[Interval]:
+        starts, ends, tags = self.columns(key)
         return [
             Interval(start, end, tag)
-            for start, end, tag in self._raw.get(key, ())
+            for start, end, tag in zip(starts, ends, tags)
         ]
 
     def keys(self) -> List[Any]:
-        return list(self._raw.keys())
+        return list(self._columns)
 
     def all_intervals(self) -> List[Interval]:
-        return [
-            Interval(start, end, tag)
-            for _key, start, end, tag in self._all_raw
-        ]
+        """Every interval in global record order."""
+        # Records under one key are appended in global order, so a
+        # per-key cursor walks each key's columns in step with the
+        # order column.
+        columns = self._columns
+        cursors: Dict[Any, int] = {}
+        out = []
+        for key in self._order:
+            index = cursors.get(key, 0)
+            cursors[key] = index + 1
+            starts, ends, tags = columns[key]
+            out.append(Interval(starts[index], ends[index], tags[index]))
+        return out
 
     def rows(self, key: Any) -> List[Tuple[float, float, Any]]:
-        """The raw ``(start, end, tag)`` records for ``key``, in order.
-
-        The tracer's own list, not a copy: callers must not mutate it.
-        """
-        return self._raw.get(key, [])
+        """The ``(start, end, tag)`` records for ``key``, in order."""
+        return list(zip(*self.columns(key)))
 
     def spans(self, key: Any) -> List[Tuple[float, float]]:
-        return [(start, end) for start, end, _tag in self._raw.get(key, ())]
+        starts, ends, _tags = self.columns(key)
+        return list(zip(starts, ends))
 
     def count(self, key: Any) -> int:
         """Number of intervals recorded for ``key``."""
-        return len(self._raw.get(key, ()))
+        return len(self.columns(key)[0])
 
     def duration(self, key: Any) -> float:
         """Union duration of all intervals recorded for ``key``."""
@@ -199,8 +244,9 @@ class IntervalTracer:
 
     def duration_between(self, key: Any, lo: float, hi: float) -> float:
         """Union duration for ``key`` restricted to ``[lo, hi)``."""
+        starts, ends, _tags = self.columns(key)
         clipped = []
-        for start, end, _tag in self._raw.get(key, ()):
+        for start, end in zip(starts, ends):
             s = start if start > lo else lo
             e = end if end < hi else hi
             if e > s:
@@ -209,5 +255,5 @@ class IntervalTracer:
 
     def clear(self) -> None:
         self._open.clear()
-        self._raw.clear()
-        self._all_raw.clear()
+        self._columns.clear()
+        self._order.clear()

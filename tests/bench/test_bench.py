@@ -8,11 +8,13 @@ here.  The committed ``BENCH_BASELINE.json`` is validated structurally
 so a hand-edit cannot silently disable the gates.
 """
 
+import gc
 import json
 from pathlib import Path
 
 from repro.bench import (
     BASELINE_FILENAME,
+    GcMeter,
     bench_event_loop,
     bench_resources,
     bench_tracer,
@@ -104,6 +106,23 @@ class TestMicrobenchSmoke:
 
     def test_resources_rate_positive(self):
         assert bench_resources(ops=500) > 0
+
+
+class TestGcMeter:
+    def test_counts_collections_by_generation(self):
+        with GcMeter() as meter:
+            gc.collect(0)
+            gc.collect()
+        report = meter.report()
+        assert (report["gen0"], report["gen1"], report["gen2"]) == (1, 0, 1)
+        assert report["seconds"] >= 0.0
+        assert meter._on_collection not in gc.callbacks
+
+    def test_counts_nothing_once_closed(self):
+        with GcMeter() as meter:
+            pass
+        gc.collect()
+        assert meter.collections == [0, 0, 0]
 
 
 class TestCommittedBaseline:

@@ -1,6 +1,10 @@
 """Unit tests for interval tracing and union-duration math (Figure 5)."""
 
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Interval,
@@ -120,3 +124,179 @@ class TestIntervalTracer:
         tracer.clear()
         assert tracer.duration("a") == 0.0
         assert tracer.all_intervals() == []
+
+    def test_columns_are_index_aligned(self):
+        tracer = IntervalTracer()
+        tracer.record_pair("job", 7, "total", 0.0, 1.0)
+        tracer.record("job", 2.0, 3.0, tag=8)
+        starts, ends, tags = tracer.columns("job")
+        assert list(starts) == [0.0, 2.0]
+        assert list(ends) == [1.0, 3.0]
+        assert list(tags) == [7, 8]
+        assert tracer.columns("total") == ([0.0], [1.0], ["job"])
+        assert [list(c) for c in tracer.columns("missing")] == [[], [], []]
+
+
+class TestTracerAllocations:
+    """Recording builds no object the cyclic collector has to track.
+
+    ``gc.get_count()[0]`` counts container allocations minus
+    deallocations since the last collection; with the collector off it
+    is an exact allocation meter.  Floats, ints and strings are never
+    tracked, and appending to an existing list allocates nothing
+    tracked, so the columns leave the count where it was.
+    """
+
+    def test_record_and_record_pair_allocate_nothing_tracked(self):
+        tracer = IntervalTracer()
+        record = tracer.record
+        record_pair = tracer.record_pair
+        starts = [i * 1e-6 for i in range(10_000)]
+        ends = [start + 5e-7 for start in starts]
+
+        def fill(n):
+            for i in range(n):
+                record_pair("job", i & 7, "total", starts[i], ends[i])
+                record("other", starts[i], ends[i], i & 3)
+
+        # Each key's first record builds its column lists: per key, not
+        # per record.
+        fill(1)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            # A collection zeroes the count, and a deallocation at zero
+            # is not subtracted: lift it off the floor first.
+            padding = [[] for _ in range(100)]
+            # A collection also empties the tuple free list, so the
+            # first get_count() allocates its result tuple for good.
+            gc.get_count()
+            before = gc.get_count()[0]
+            fill(10_000)
+            moved = gc.get_count()[0] - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert moved == 0
+        assert len(padding) == 100
+        assert tracer.count("total") == 10_001
+
+
+class ReferenceTracer:
+    """The tuple-list tracer the columnar one replaced, as an oracle."""
+
+    def __init__(self):
+        self.open = {}
+        self.raw = {}
+        self.all_raw = []
+
+    def begin(self, key, now):
+        if key in self.open:
+            raise ValueError(key)
+        self.open[key] = now
+
+    def end(self, key, now, tag=None):
+        try:
+            start = self.open.pop(key)
+        except KeyError:
+            raise ValueError(key)
+        self.record(key, start, now, tag)
+        return Interval(start, now, tag)
+
+    def record(self, key, start, end, tag=None):
+        if end < start:
+            raise ValueError(key)
+        self.raw.setdefault(key, []).append((start, end, tag))
+        self.all_raw.append((key, start, end, tag))
+
+    def record_pair(self, key, tag, total_key, start, end):
+        self.record(key, start, end, tag)
+        self.record(total_key, start, end, key)
+
+    def clear(self):
+        self.open.clear()
+        self.raw.clear()
+        self.all_raw.clear()
+
+    def views(self, lo, hi):
+        out = {"keys": list(self.raw)}
+        for key in list(self.raw) + ["missing"]:
+            rows = self.raw.get(key, [])
+            out[key] = (
+                list(rows),
+                [(s, e) for s, e, _t in rows],
+                [Interval(s, e, t) for s, e, t in rows],
+                len(rows),
+                union_duration([(s, e) for s, e, _t in rows]),
+                union_duration(
+                    [
+                        (max(s, lo), min(e, hi))
+                        for s, e, _t in rows
+                        if min(e, hi) > max(s, lo)
+                    ]
+                ),
+            )
+        out["all"] = [Interval(s, e, t) for _k, s, e, t in self.all_raw]
+        return out
+
+
+def tracer_views(tracer, keys, lo, hi):
+    out = {"keys": tracer.keys()}
+    for key in keys + ["missing"]:
+        out[key] = (
+            tracer.rows(key),
+            tracer.spans(key),
+            tracer.intervals(key),
+            tracer.count(key),
+            tracer.duration(key),
+            tracer.duration_between(key, lo, hi),
+        )
+    out["all"] = tracer.all_intervals()
+    return out
+
+
+_KEYS = st.sampled_from(["a", "b", "c", 3])
+_TIMES = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _KEYS, _TIMES, _TIMES, st.integers(0, 3)),
+        st.tuples(st.just("record_pair"), _KEYS, _KEYS, _TIMES, _TIMES, st.integers(0, 3)),
+        st.tuples(st.just("begin"), _KEYS, _TIMES),
+        st.tuples(st.just("end"), _KEYS, _TIMES, st.integers(0, 3)),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=60,
+)
+
+
+def _apply(tracer, op):
+    name, *args = op
+    try:
+        if name == "record":
+            key, a, b, tag = args
+            return ("ok", tracer.record(key, a, b, tag))
+        if name == "record_pair":
+            key, total, a, b, tag = args
+            return ("ok", tracer.record_pair(key, tag, total, a, b))
+        if name == "begin":
+            return ("ok", tracer.begin(*args))
+        if name == "end":
+            key, now, tag = args
+            return ("ok", tracer.end(key, now, tag))
+        return ("ok", tracer.clear())
+    except ValueError:
+        return ("ValueError", None)
+
+
+class TestTracerDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_OPS, lo=_TIMES, hi=_TIMES)
+    def test_views_match_tuple_list_reference(self, ops, lo, hi):
+        tracer = IntervalTracer()
+        reference = ReferenceTracer()
+        for op in ops:
+            assert _apply(tracer, op) == _apply(reference, op)
+        expected = reference.views(lo, hi)
+        got = tracer_views(tracer, expected["keys"], lo, hi)
+        assert got == expected

@@ -367,3 +367,34 @@ class TestUnreadableInputFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: JSONDecodeError")
         assert err.count("\n") == 1
+
+
+class TestCountFlags:
+    """Count flags reject values below one with an ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_reproduce_jobs_below_one_rejected(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", "table2", "--jobs", jobs])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --jobs: must be >= 1: {jobs}" in err
+        assert "Traceback" not in err
+
+    def test_reproduce_jobs_not_an_int_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", "table2", "--jobs", "x"])
+        assert exit_info.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_soak_zero_gpus_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["soak", "--quick", "--gpus", "0"])
+        assert exit_info.value.code == 2
+        assert "error: argument --gpus: must be >= 1: 0" in capsys.readouterr().err
+
+    def test_serve_zero_clients_rejected(self, capsys):
+        assert main(["serve", "--clients", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --clients must be >= 1: 0" in err
+        assert "Overhead-Q" not in err
