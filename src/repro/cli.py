@@ -60,15 +60,26 @@ from typing import Any, Callable, Dict, List, Optional
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count flag: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
-    return value
+def _at_least(kind: Callable[[str], Any], minimum: Any) -> Callable[[str], Any]:
+    """argparse type for a numeric flag bounded below by ``minimum``."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            )
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}: {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_non_negative_int = _at_least(int, 0)
+_non_negative_float = _at_least(float, 0.0)
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -918,6 +929,8 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .zoo import MODEL_REGISTRY
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -926,6 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command")
+    models = sorted(MODEL_REGISTRY)
 
     sub.add_parser("models", help="list the servable model zoo")
 
@@ -948,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser("serve", help="run a serving experiment")
-    serve.add_argument("--model", default="inception_v4")
+    serve.add_argument("--model", default="inception_v4", choices=models)
     serve.add_argument("--batch", type=int, default=100)
     serve.add_argument("--clients", type=int, default=10)
     serve.add_argument("--batches", type=int, default=10)
@@ -985,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a fault plan from this seed instead of a file",
     )
     serve.add_argument(
-        "--num-faults", type=int, default=3,
+        "--num-faults", type=_positive_int, default=3,
         help="faults to generate with --fault-seed",
     )
     serve.add_argument(
@@ -993,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict a token holder stalled this long (simulated seconds)",
     )
     serve.add_argument(
-        "--retries", type=int, default=0,
+        "--retries", type=_non_negative_int, default=0,
         help="client retries per failed batch (exponential backoff)",
     )
     serve.add_argument(
@@ -1002,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="runtime telemetry verbosity (default off; digest-neutral)",
     )
     serve.add_argument(
-        "--snapshot-period", type=float, default=0.25,
+        "--snapshot-period", type=_non_negative_float, default=0.25,
         help="telemetry snapshot cadence in simulated seconds",
     )
     serve.add_argument(
@@ -1184,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="fig16 = 14 clients x 7 models; homogeneous uses "
                  "--model/--batch/--clients",
         )
-        command.add_argument("--model", default="inception_v4")
+        command.add_argument("--model", default="inception_v4", choices=models)
         command.add_argument("--batch", type=int, default=100)
         command.add_argument("--clients", type=int, default=4)
         command.add_argument("--batches", type=int, default=2)
@@ -1217,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export the span table as JSON",
     )
     trace.add_argument(
-        "--snapshot-period", type=float, default=0.25,
+        "--snapshot-period", type=_non_negative_float, default=0.25,
         help="telemetry snapshot cadence in simulated seconds",
     )
 

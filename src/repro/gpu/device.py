@@ -25,12 +25,19 @@ The device records busy intervals per job (and globally) into an
 measure GPU duration (Figure 5) and utilization (§4.3).
 
 With ``GpuSpec.streams > 1`` the serial engine is replaced by a
-processor-sharing one (:meth:`GpuDevice._run_multi`, a process):
+processor-sharing one (:meth:`GpuDevice._step`), also call-driven:
 up to ``streams`` kernels run concurrently, each progressing at
 ``1/s(k)`` of its solo rate where ``s(k)`` is the occupancy-dependent
-slowdown of :mod:`repro.gpu.interference`.  With ``streams=1`` every
-trace digest is bit-identical to the pre-extension serial device,
-which the equivalence suite in ``tests/properties`` pins.
+slowdown of :mod:`repro.gpu.interference`.  It steps when the driver
+hands it a kernel and when its one timer fires, and it pulls with an
+``eligible`` predicate, so neither engine owns a process.  A handed
+kernel starts one zero-delay hop after the submission, behind every
+event already queued for that instant; starting it inline reorders
+same-instant starts and changes the multi-stream schedule that
+``tests/properties/test_spatial_determinism.py`` pins.
+With ``streams=1`` every trace digest is bit-identical to the
+pre-extension serial device, which the equivalence suite in
+``tests/properties`` pins.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import random
 from typing import Any, Dict, List, Optional
 
 from ..sanitize import sim_sanitizer
-from ..sim.core import AnyOf, Event, Process, Simulator
+from ..sim.core import Simulator
 from ..sim.trace import IntervalTracer
 from .driver import Driver
 from .interference import InterferenceModel
@@ -117,11 +124,22 @@ class GpuDevice:
         self._compute_scale = spec.compute_scale
         self._kernel_overhead = spec.kernel_overhead
         self._record = self.tracer.record_pair
-        self._process: Optional[Process] = None
         if spec.streams > 1:
-            self._process = sim.process(
-                self._run_multi(), name=f"gpu:{spec.name}"
-            )
+            # Processor-sharing residency books (see ``_step``): each
+            # resident's remaining solo device-time, and its initial
+            # solo time, reported on the finish event so attribution
+            # can split execution into solo time vs. interference.
+            self._residents: Dict[Kernel, float] = {}
+            self._solo_times: Dict[Kernel, float] = {}
+            self._job_residency: Dict[Any, int] = {}
+            self._free_streams: List[int] = list(range(spec.streams - 1, -1, -1))
+            # A fetched kernel waiting out an injected stall.
+            self._staged: Optional[Kernel] = None
+            self._last = sim.now
+            # Generation of the one live timer; bumping it makes any
+            # armed timer a no-op.
+            self._timer = 0
+            driver.pull(self._hand_off, self._eligible)
         else:
             driver.pull(self._start)
 
@@ -251,7 +269,7 @@ class GpuDevice:
         )
 
     def _emit_kernel(self, kind: str, kernel: Kernel, **fields: Any) -> None:
-        """Serial-engine telemetry seam (only when telemetry is attached)."""
+        """Kernel telemetry seam (only when telemetry is attached)."""
         guard = sim_sanitizer.checkpoint(self)
         self.telemetry.emit(
             kind,
@@ -263,210 +281,195 @@ class GpuDevice:
         )
         sim_sanitizer.verify(self, guard, kind)
 
-    def _run_multi(self):
-        """Processor-sharing engine for ``streams > 1``.
+    # ------------------------------------------------------------------
+    # Processor-sharing engine (streams > 1): timed callbacks, no process
+    # ------------------------------------------------------------------
+
+    def _hand_off(self, kernel: Kernel) -> None:
+        """The driver's callback: step with ``kernel`` one hop later.
+
+        The zero-delay hop keeps the pinned multi-stream schedule (see
+        the module docstring).  The step it schedules re-arms the
+        timer, so the armed one is superseded now.
+        """
+        self._timer += 1
+        self.sim.call_later(0.0, self._step, kernel)
+
+    def _wake(self, generation: int) -> None:
+        if generation == self._timer:
+            self._step()
+
+    def _eligible(self, job_id: Any) -> bool:
+        allocator = self.allocator
+        if allocator is None:
+            return True
+        return self._job_residency.get(job_id, 0) < allocator.allowed_concurrency(
+            job_id
+        )
+
+    def _step(self, fetched: Optional[Kernel] = None) -> None:
+        """One wake of the processor-sharing engine.
 
         Up to ``streams`` kernels are resident at once; each carries a
         balance of remaining *solo* device-time, drained at rate
-        ``1/s(k)`` where ``k`` is the instantaneous occupancy.  The
-        engine wakes on the earliest of (a) the driver handing over a
-        new kernel and (b) the projected completion of the most-drained
-        resident, re-advances every balance by the elapsed interval, and
-        retires / starts kernels as appropriate.  An injected hang
-        stalls *starts* only (matching the serial engine): a fetched
-        kernel is staged until the stall elapses while residents keep
-        draining.
+        ``1/s(k)`` where ``k`` is the instantaneous occupancy.  A step
+        starts the ``fetched`` kernel, releases a staged one whose
+        stall has passed, advances every balance by the elapsed
+        interval, retires the drained residents, pulls while streams
+        are free, and arms one timer at the earlier of the stall's end
+        and the projected completion of the most-drained resident.  An
+        injected hang stalls *starts* only (matching the serial
+        engine): a fetched kernel is staged until the stall elapses
+        while residents keep draining.
         """
         sim = self.sim
-        timeout = sim.timeout
-        driver = self.driver
-        record = self._record
+        if fetched is not None:
+            self._take(fetched)
+        staged = self._staged
+        if staged is not None and sim.now >= self._hang_until:
+            self._staged = None
+            self._take(staged)
+        residents = self._residents
         streams = self.spec.streams
-        model = self.interference
-        compute_scale = self.spec.compute_scale
-        kernel_overhead = self.spec.kernel_overhead
-
-        residents: Dict[Kernel, float] = {}
-        # Initial (solo) device time of each resident, reported on the
-        # finish event so attribution can split execution into solo
-        # time vs. spatial-interference slowdown.
-        solo_times: Dict[Kernel, float] = {}
-        job_residency: Dict[Any, int] = {}
-        free_streams: List[int] = list(range(streams - 1, -1, -1))
-        pending: Optional[Event] = None
-        staged: Optional[Kernel] = None
-        last = sim.now
-
-        def eligible(job_id: Any) -> bool:
-            allocator = self.allocator
-            if allocator is None:
-                return True
-            return job_residency.get(job_id, 0) < allocator.allowed_concurrency(
-                job_id
-            )
-
-        def advance() -> None:
-            # Drain every resident balance by the interval since the
-            # last wake, at the occupancy-dependent shared rate.
-            nonlocal last
-            now = sim.now
-            if now > last:
-                k = len(residents)
-                if k:
-                    drained = (now - last) / model.slowdown(k)
-                    for kernel in residents:
-                        residents[kernel] -= drained
-                    self.occupancy_time += (now - last) * k
-                last = now
-
-        def emit_occupancy(telemetry) -> None:
-            if telemetry is not None:
-                telemetry.emit(
-                    "stream.occupancy",
-                    "device",
-                    occupancy=len(residents),
-                    streams=streams,
-                )
-
-        def start(kernel: Kernel) -> None:
-            kernel.stream = free_streams.pop()
-            kernel.started_at = sim.now
-            balance = (
-                kernel.duration * compute_scale * self.clock_factor
-                + kernel_overhead
-            )
-            residents[kernel] = balance
-            solo_times[kernel] = balance
-            job_residency[kernel.job_id] = job_residency.get(kernel.job_id, 0) + 1
-            self.current_kernel = kernel
-            self.occupancy = len(residents)
-            if self.occupancy > self.peak_occupancy:
-                self.peak_occupancy = self.occupancy
-            allocator = self.allocator
-            if allocator is not None:
-                checker = getattr(allocator, "invariants", None)
-                if checker is not None:
-                    checker.after_kernel_start(
-                        allocator,
-                        kernel.job_id,
-                        job_residency[kernel.job_id],
-                        allocator.allowed_concurrency(kernel.job_id),
-                    )
-            telemetry = self.telemetry
-            if telemetry is not None:
-                guard = sim_sanitizer.checkpoint(self)
-                telemetry.emit(
-                    "kernel.started",
-                    "device",
-                    job_id=kernel.job_id,
-                    node_id=kernel.node_id,
-                    seq=kernel.seq,
-                    stream=kernel.stream,
-                )
-                emit_occupancy(telemetry)
-                sim_sanitizer.verify(self, guard, "kernel.started")
-
-        def retire(kernel: Kernel) -> None:
-            # Bookkeeping + telemetry for one drained resident.  The
-            # ``done`` succeed happens batched in the engine loop so a
-            # same-tick gang retires with one calendar operation.
-            del residents[kernel]
-            solo_time = solo_times.pop(kernel)
-            job_residency[kernel.job_id] -= 1
-            if not job_residency[kernel.job_id]:
-                del job_residency[kernel.job_id]
-            free_streams.append(kernel.stream)
-            free_streams.sort(reverse=True)
-            end = sim.now
-            start_at = kernel.started_at
-            kernel.finished_at = end
-            self.kernels_executed += 1
-            self.busy_time += end - start_at
-            record(kernel.job_id, kernel.node_id, GPU_GLOBAL_KEY, start_at, end)
-            self.occupancy = len(residents)
-            if kernel is self.current_kernel:
-                self.current_kernel = (
-                    next(iter(residents)) if residents else None
-                )
-            telemetry = self.telemetry
-            if telemetry is not None:
-                guard = sim_sanitizer.checkpoint(self)
-                telemetry.emit(
-                    "kernel.finished",
-                    "device",
-                    job_id=kernel.job_id,
-                    node_id=kernel.node_id,
-                    seq=kernel.seq,
-                    stream=kernel.stream,
-                    exec_time=end - start_at,
-                    solo_time=solo_time,
-                )
-                emit_occupancy(telemetry)
-                sim_sanitizer.verify(self, guard, "kernel.finished")
-
         while True:
-            # Consume a fetch that fired while we were waiting.
-            if pending is not None and pending.triggered:
-                kernel = pending.value
-                pending = None
-                if sim.now < self._hang_until:
-                    staged = kernel
-                else:
-                    advance()
-                    start(kernel)
-            # Drop an un-fired fetch: residency just changed, so the
-            # driver must re-evaluate eligibility on the next issue.
-            if pending is not None:
-                driver.cancel_device_wait()
-                pending = None
-            # Release a staged kernel once the injected stall elapsed.
-            if staged is not None and sim.now >= self._hang_until:
-                advance()
-                start(staged)
-                staged = None
-            # Retire residents whose balance is drained.  Same-tick
-            # gangs (homogeneous co-resident kernels draining at the
-            # same rate) complete together, so their ``done`` events
-            # are triggered as one batch: identical wake order to
-            # sequential succeed calls, one calendar bucket total.
-            advance()
+            # Same-tick gangs (homogeneous co-resident kernels draining
+            # at the same rate) complete together, so their ``done``
+            # events are triggered as one batch: identical wake order
+            # to sequential succeed calls, one calendar bucket total.
+            self._advance()
             drained = [
                 k for k, rem in residents.items() if rem <= _REMAINING_EPS
             ]
             if drained:
                 dones = []
                 for kernel in drained:
-                    retire(kernel)
+                    self._retire(kernel)
                     # Detached as it fires, as in the serial ``_finish``.
                     dones.append(kernel.done)
                     kernel.done = None
                 sim.succeed_many(dones, drained)
-            # Ask for more work while there is stream capacity.
-            if staged is None and len(residents) < streams:
-                pending = driver.next_kernel(eligible=eligible)
-                if pending.triggered:
-                    continue
-            waits: List[Event] = []
-            if pending is not None:
-                waits.append(pending)
-            if staged is not None:
-                waits.append(timeout(self._hang_until - sim.now))
-            if residents:
-                k = len(residents)
-                horizon = max(0.0, min(residents.values())) * model.slowdown(k)
-                waits.append(timeout(horizon))
-            if len(waits) == 1:
-                yield waits[0]
-            else:
-                yield AnyOf(sim, waits)
+            if self._staged is not None or len(residents) >= streams:
+                break
+            kernel = self.driver.pull(self._hand_off, self._eligible)
+            if kernel is None:
+                break
+            self._take(kernel)
+        delay = None
+        if self._staged is not None:
+            delay = self._hang_until - sim.now
+        if residents:
+            horizon = max(0.0, min(residents.values())) * (
+                self.interference.slowdown(len(residents))
+            )
+            if delay is None or horizon < delay:
+                delay = horizon
+        if delay is not None:
+            self._timer += 1
+            sim.call_later(delay, self._wake, self._timer)
+
+    def _take(self, kernel: Kernel) -> None:
+        """Start a fetched kernel, or stage it while the engine stalls."""
+        if self.sim.now < self._hang_until:
+            self._staged = kernel
+        else:
+            self._advance()
+            self._start_resident(kernel)
+
+    def _advance(self) -> None:
+        """Drain every balance by the interval since the last advance."""
+        now = self.sim.now
+        last = self._last
+        if now > last:
+            residents = self._residents
+            k = len(residents)
+            if k:
+                drained = (now - last) / self.interference.slowdown(k)
+                for kernel in residents:
+                    residents[kernel] -= drained
+                self.occupancy_time += (now - last) * k
+            self._last = now
+
+    def _start_resident(self, kernel: Kernel) -> None:
+        residents = self._residents
+        job_residency = self._job_residency
+        kernel.stream = self._free_streams.pop()
+        kernel.started_at = self.sim.now
+        balance = (
+            kernel.duration * self._compute_scale * self.clock_factor
+            + self._kernel_overhead
+        )
+        residents[kernel] = balance
+        self._solo_times[kernel] = balance
+        job_residency[kernel.job_id] = job_residency.get(kernel.job_id, 0) + 1
+        self.current_kernel = kernel
+        self.occupancy = len(residents)
+        if self.occupancy > self.peak_occupancy:
+            self.peak_occupancy = self.occupancy
+        allocator = self.allocator
+        if allocator is not None:
+            checker = getattr(allocator, "invariants", None)
+            if checker is not None:
+                checker.after_kernel_start(
+                    allocator,
+                    kernel.job_id,
+                    job_residency[kernel.job_id],
+                    allocator.allowed_concurrency(kernel.job_id),
+                )
+        if self.telemetry is not None:
+            self._emit_kernel("kernel.started", kernel, stream=kernel.stream)
+            self._emit_occupancy()
+
+    def _retire(self, kernel: Kernel) -> None:
+        """Books and telemetry for one drained resident.
+
+        The ``done`` succeed happens batched in ``_step`` so a same-tick
+        gang retires with one calendar operation.
+        """
+        residents = self._residents
+        job_residency = self._job_residency
+        del residents[kernel]
+        solo_time = self._solo_times.pop(kernel)
+        job_residency[kernel.job_id] -= 1
+        if not job_residency[kernel.job_id]:
+            del job_residency[kernel.job_id]
+        self._free_streams.append(kernel.stream)
+        self._free_streams.sort(reverse=True)
+        end = self.sim.now
+        start = kernel.started_at
+        kernel.finished_at = end
+        self.kernels_executed += 1
+        self.busy_time += end - start
+        self._record(kernel.job_id, kernel.node_id, GPU_GLOBAL_KEY, start, end)
+        self.occupancy = len(residents)
+        if kernel is self.current_kernel:
+            self.current_kernel = next(iter(residents)) if residents else None
+        if self.telemetry is not None:
+            self._emit_kernel(
+                "kernel.finished",
+                kernel,
+                stream=kernel.stream,
+                exec_time=end - start,
+                solo_time=solo_time,
+            )
+            self._emit_occupancy()
+
+    def _emit_occupancy(self) -> None:
+        guard = sim_sanitizer.checkpoint(self)
+        self.telemetry.emit(
+            "stream.occupancy",
+            "device",
+            occupancy=len(self._residents),
+            streams=self.spec.streams,
+        )
+        sim_sanitizer.verify(self, guard, "stream.occupancy")
 
     def _sanitize_state(self):
         """Engine state checksummed around telemetry seams.
 
         Plain counters and identifiers only (never object reprs, which
-        embed addresses).  The multi-stream residency books live in the
-        engine closure; their externally visible projection —
-        ``occupancy`` and the executed/busy counters — is covered here.
+        embed addresses).  The multi-stream residency books are covered
+        through their externally visible projection: ``occupancy`` and
+        the executed/busy counters.
         """
         current = self.current_kernel
         return (

@@ -24,15 +24,16 @@ utilization, §4.3) is unaffected.
 Olympian never modifies this layer; it controls *which* job is allowed
 to submit at all.
 
-The serial device (``GpuSpec.streams == 1``) is call-driven: it takes
-its next kernel with :meth:`Driver.pull` as it retires one, and when
-the queues are empty the driver keeps its start callback and hands the
-next submission straight to it.  The multi-stream device
-(``GpuSpec.streams > 1``) is a process that waits on
-:meth:`Driver.next_kernel` with an ``eligible`` predicate, so the
-spatio-temporal scheduler's per-job concurrency bound is enforced at
-dequeue time.  Both make the same picks with the same RNG draws as the
-pre-spatial driver when only one stream is eligible.
+The device takes work through one fetch, :meth:`Driver.pull`: it
+returns the next kernel, or keeps the device's start callback when no
+work is queued and hands the next submission straight to it.  The
+multi-stream device (``GpuSpec.streams > 1``) passes an ``eligible``
+predicate, so the spatio-temporal scheduler's per-job concurrency bound
+is enforced at dequeue time, and pulls again whenever its residency
+changes, which replaces the kept callback and so re-evaluates the
+bound.  One pick, :meth:`Driver._pop`, serves both devices; with every
+stream eligible it makes the same picks with the same RNG draws as the
+pre-spatial driver.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Any, Callable, Deque, Dict, Optional
 
 from ..graph.node import Node
 from ..sanitize import sim_sanitizer
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from ..sim.rng import derive_seed
 from .kernel import Kernel
 
@@ -74,12 +75,10 @@ class Driver:
         self._ranks: Dict[Any, float] = {}
         self._queued = 0
         self._current_stream: Optional[Any] = None
-        # The idle serial device's start callback (see ``pull``).
+        # The idle device's start callback and eligibility predicate
+        # (see ``pull``).
         self._idle_start: Optional[Callable[[Kernel], None]] = None
-        # The multi-stream device's pending fetch and its eligibility
-        # predicate (see ``next_kernel``).
-        self._waiter: Optional[Event] = None
-        self._waiter_filter: Optional[Callable[[Any], bool]] = None
+        self._idle_eligible: Optional[Callable[[Any], bool]] = None
         self.submission_counts: Dict[Any, int] = {}
         self.max_queue_depth = 0
         self.stream_switches = 0
@@ -214,15 +213,11 @@ class Driver:
             self.max_queue_depth = self._queued
         start = self._idle_start
         if start is not None:
-            # The serial device is idle: it starts this pick right here.
-            self._idle_start = None
-            start(self._pop())
-        elif self._waiter is not None:
-            chosen = self._pop_eligible(self._waiter_filter)
+            # The device is idle: it takes this pick right here.
+            chosen = self._pop(self._idle_eligible)
             if chosen is not None:
-                waiter, self._waiter = self._waiter, None
-                self._waiter_filter = None
-                waiter.succeed(chosen)
+                self._idle_start = None
+                start(chosen)
 
     # ------------------------------------------------------------------
     # Device crash (fault injection / recovery)
@@ -277,64 +272,47 @@ class Driver:
     # Device side
     # ------------------------------------------------------------------
 
-    def pull(self, start: Callable[[Kernel], None]) -> Optional[Kernel]:
-        """The serial device's fetch: the next kernel, or None when idle.
+    def pull(
+        self,
+        start: Callable[[Kernel], None],
+        eligible: Optional[Callable[[Any], bool]] = None,
+    ) -> Optional[Kernel]:
+        """The device's fetch: the next kernel, or None when idle.
 
-        The device calls this as its running kernel retires.  When no
-        work is queued, ``start`` is kept and called with the next
-        submission's pick, from inside that submission.  Only one device
-        is supported.
+        When no eligible work is queued, ``start`` is kept and called
+        with the next eligible submission's pick, from inside that
+        submission.  A later ``pull`` replaces the kept callback (or
+        drops it, when it returns a kernel); this is how the
+        multi-stream device re-evaluates ``eligible`` after its
+        residency changes.  Only one device is supported.
         """
-        if self._idle_start is not None:
-            raise RuntimeError("driver already has an idle device")
-        kernel = self._pop()
+        kernel = self._pop(eligible)
         if kernel is None:
             self._idle_start = start
+            self._idle_eligible = eligible
+        else:
+            self._idle_start = None
         return kernel
 
-    def next_kernel(self, eligible: Callable[[Any], bool]) -> Event:
-        """The multi-stream device's fetch: an event firing with a kernel.
+    def _pop(
+        self, eligible: Optional[Callable[[Any], bool]] = None
+    ) -> Optional[Kernel]:
+        """Serve the highest-ranked non-empty stream passing ``eligible``.
 
-        Fires immediately if an eligible stream has work; otherwise when
-        a submission makes one eligible.  Only one outstanding request
-        (one device) is supported.
-
-        ``eligible`` restricts the pick to streams whose ``job_id``
-        satisfies the predicate.  A stored waiter is *not* re-checked
-        when residency changes on the device side — the device cancels
-        the wait (:meth:`cancel_device_wait`) and re-issues instead.
+        ``eligible`` (the multi-stream device's per-job concurrency
+        bound) keeps an over-bound stream's kernels queued; None passes
+        every stream.  Returns None when no eligible stream has work.
         """
-        if self._waiter is not None:
-            raise RuntimeError("driver already has a pending device request")
-        event = self.sim.event()  # pooled: one fetch event per executed kernel
-        kernel = self._pop_eligible(eligible)
-        if kernel is not None:
-            event.succeed(kernel)
-        else:
-            self._waiter = event
-            self._waiter_filter = eligible
-        return event
-
-    def cancel_device_wait(self) -> None:
-        """Abandon the outstanding :meth:`next_kernel` wait, if any.
-
-        The multi-stream device calls this whenever its residency
-        changes: a stream that was over its concurrency bound at issue
-        time may be eligible now, and only a fresh :meth:`next_kernel`
-        re-evaluates the queues.  The abandoned event is never yielded
-        on again, so dropping the reference is safe.
-        """
-        self._waiter = None
-        self._waiter_filter = None
-
-    def _pop(self) -> Optional[Kernel]:
-        """Serve the highest-ranked non-empty stream."""
         queued = self._queued
         if not queued:
             return None
         current = self._current_stream
         queue = self._queues.get(current)
-        if queue is not None and len(queue) == queued:
+        if (
+            queue is not None
+            and len(queue) == queued
+            and (eligible is None or eligible(current))
+        ):
             # Only the current stream has work: the general pick below
             # would choose it with no RNG draw and no stream switch, and
             # its cleanup would keep only this stream.  O(1) here.
@@ -344,63 +322,20 @@ class Driver:
             self._queued = queued - 1
             return queue.popleft()
         nonempty = [job_id for job_id, queue in self._queues.items() if queue]
-        if len(nonempty) == 1:
-            chosen = nonempty[0]
-        else:
-            # Manual argmax: one noise draw per candidate stream, in
-            # queue-creation order, first-wins on (measure-zero) ties —
-            # the exact semantics of max(key=...) without the per-pick
-            # lambda dispatch.
-            ranks = self._ranks
-            noise = self.arbitration_noise
-            random = self.rng.random
-            chosen = nonempty[0]
-            best = ranks[chosen] + noise * random()
-            for job_id in nonempty[1:]:
-                score = ranks[job_id] + noise * random()
-                if score > best:
-                    best = score
-                    chosen = job_id
-        if chosen != self._current_stream:
-            self.stream_switches += 1
-        self._current_stream = chosen
-        # Opportunistic cleanup of long-empty stream queues.
-        if len(self._queues) > 4 * len(nonempty) + 8:
-            keep = set(nonempty)
-            keep.add(chosen)
-            self._queues = {
-                job_id: queue
-                for job_id, queue in self._queues.items()
-                if job_id in keep
-            }
-            self._ranks = {
-                job_id: rank
-                for job_id, rank in self._ranks.items()
-                if job_id in self._queues
-            }
-        self._queued -= 1
-        return self._queues[chosen].popleft()
-
-    def _pop_eligible(
-        self, eligible: Callable[[Any], bool]
-    ) -> Optional[Kernel]:
-        """Serve the highest-ranked non-empty stream passing ``eligible``.
-
-        The multi-stream variant of :meth:`_pop`: streams over their
-        per-job concurrency bound keep their kernels queued.  Returns
-        None when no eligible stream has work.  Draws its own
-        arbitration noise (one per eligible candidate); only reached
-        with ``streams > 1``, so the serial RNG sequence is untouched.
-        """
-        if not self._queued:
-            return None
-        nonempty = [job_id for job_id, queue in self._queues.items() if queue]
-        candidates = [job_id for job_id in nonempty if eligible(job_id)]
+        candidates = (
+            nonempty
+            if eligible is None
+            else [job_id for job_id in nonempty if eligible(job_id)]
+        )
         if not candidates:
             return None
         if len(candidates) == 1:
             chosen = candidates[0]
         else:
+            # Manual argmax: one noise draw per candidate stream, in
+            # queue-creation order, first-wins on (measure-zero) ties —
+            # the exact semantics of max(key=...) without the per-pick
+            # lambda dispatch.
             ranks = self._ranks
             noise = self.arbitration_noise
             random = self.rng.random
@@ -414,8 +349,8 @@ class Driver:
         if chosen != self._current_stream:
             self.stream_switches += 1
         self._current_stream = chosen
-        # Same opportunistic cleanup as _pop, but keyed on *all*
-        # non-empty streams — ineligible queues must survive.
+        # Opportunistic cleanup of long-empty stream queues, keyed on
+        # *all* non-empty streams: ineligible queues must survive.
         if len(self._queues) > 4 * len(nonempty) + 8:
             keep = set(nonempty)
             keep.add(chosen)

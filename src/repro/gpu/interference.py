@@ -3,7 +3,7 @@
 When a device runs ``k`` kernels concurrently (``GpuSpec.streams > 1``),
 they contend for SMs, memory bandwidth, and L2 — so each runs slower
 than it would alone.  The model here is the calibrated one the
-multi-stream engine (:meth:`~repro.gpu.device.GpuDevice._run_multi`)
+multi-stream engine (:meth:`~repro.gpu.device.GpuDevice._step`)
 charges:
 
 * **Aggregate capacity** ``C(k) = 1 + (k - 1) * parallel_efficiency``

@@ -27,8 +27,10 @@ from repro.experiments import (
     ExperimentConfig,
     run_workload,
 )
+from repro.faults import FaultPlan
 from repro.telemetry import TelemetryConfig
 from repro.workloads import (
+    complex_workload,
     heterogeneous_workload,
     with_priorities,
     with_weights,
@@ -152,3 +154,64 @@ class TestSpatialSeededDeterminism:
         assert all(
             client.finish_time > 0.0 for client in result.clients
         )
+
+
+# The multi-stream engine's hand-off order: the ext_spatial sweep
+# workload at 2, 4 and 8 streams.  Captured from the process-driven
+# engine; a device that starts a fetched kernel in a different calendar
+# slot moves the s4 and s8 rows.  Do NOT re-pin.
+SWEEP_SPECS = heterogeneous_workload(clients_per_model=3, num_batches=3)
+SWEEP_DIGESTS = {
+    ("spatial", 2): (
+        "208a9fab34ab48d995c3d9c7c5e0cd17ec0a9866a8bc205f048e50b7edd1460a"
+    ),
+    ("spatial", 4): (
+        "f7079d7a32729bbdc79769717c3e09b80eeffdb53cffeec64077cb7b44b10789"
+    ),
+    ("spatial", 8): (
+        "8024b681937e5efdee1d41196abd2bcfe14a4529e899fad9b33c2e257627bd7a"
+    ),
+    ("spatial-rt", 2): (
+        "2a0f7afe7df8c0a7ec4ebcd3ad8ed5cc6f940d2f46a4d80062d75526120424cf"
+    ),
+    ("spatial-rt", 4): (
+        "65892ffa5871fbb872db44816a2e3def0492ef8d7e0a5ea6c61511b173505d93"
+    ),
+    ("spatial-rt", 8): (
+        "c981c48dc2b60dd7e4b69c65a6058c73f65bb4a105e57c162bcd7f0bc5d61ffc"
+    ),
+}
+# A spatial run at s4 whose fault plan hangs the device while fetched
+# kernels wait to start (the engine's staging path).
+STAGED_HANG_DIGEST = (
+    "1e194c57f6e736b327ad7f7669413bec413a64e91797a6d962028812b62f3de7"
+)
+
+
+class TestMultiStreamHandOffPins:
+    @pytest.mark.parametrize("kind, streams", sorted(SWEEP_DIGESTS))
+    def test_sweep_digest(self, kind, streams):
+        config = ExperimentConfig(
+            scale=0.02, seed=0, quantum=1e-3, streams=streams
+        )
+        result = run_workload(SWEEP_SPECS, scheduler=kind, config=config)
+        assert result.trace_digest() == SWEEP_DIGESTS[(kind, streams)]
+
+    def test_staged_hang_digest(self):
+        specs = complex_workload(num_batches=2)
+        plan = FaultPlan.generate(
+            0,
+            [spec.client_id for spec in specs],
+            kinds=("device_hang", "kernel_crash", "device_crash"),
+            num_faults=4,
+            horizon=0.3,
+        )
+        result = run_workload(
+            specs,
+            scheduler="spatial",
+            config=ExperimentConfig(seed=3, quantum=1.2e-3, streams=4),
+            fault_plan=plan,
+            require_completion=False,
+        )
+        assert result.server.device.hangs_injected > 0
+        assert result.trace_digest() == STAGED_HANG_DIGEST

@@ -398,3 +398,45 @@ class TestCountFlags:
         err = capsys.readouterr().err
         assert "error: --clients must be >= 1: 0" in err
         assert "Overhead-Q" not in err
+
+
+class TestBadServeInputs:
+    """Out-of-range serve/workload flags are argparse errors (exit 2),
+    never a traceback from deep in the run nor silently clamped."""
+
+    SMALL = ["--clients", "1", "--batches", "1", "--scale", "0.02"]
+    ARGVS = {
+        "serve-unknown-model": (
+            ["serve", "--model", "nope"], "argument --model: invalid choice: 'nope'",
+        ),
+        "trace-unknown-model": (
+            ["trace", "--workload", "homogeneous", "--model", "nope"],
+            "argument --model: invalid choice: 'nope'",
+        ),
+        "blame-unknown-model": (
+            ["blame", "--workload", "homogeneous", "--model", "nope"],
+            "argument --model: invalid choice: 'nope'",
+        ),
+        "serve-zero-faults": (
+            ["serve", *SMALL, "--fault-seed", "1", "--num-faults", "0"],
+            "argument --num-faults: must be >= 1: 0",
+        ),
+        "serve-negative-snapshot-period": (
+            ["serve", *SMALL, "--telemetry", "metrics", "--snapshot-period", "-1"],
+            "argument --snapshot-period: must be >= 0.0: -1.0",
+        ),
+        "serve-negative-retries": (
+            ["serve", *SMALL, "--retries", "-1"],
+            "argument --retries: must be >= 0: -1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARGVS))
+    def test_rejected_with_usage_error(self, case, capsys):
+        argv, message = self.ARGVS[case]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
