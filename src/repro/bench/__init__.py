@@ -19,6 +19,10 @@ that cost and gates it, so a speedup landed once cannot silently rot:
   generation during the Fig 16 digest runs, and the seconds spent in
   them (:class:`GcMeter`).  Report only: the counts depend on the
   CPython version.
+* **Memory floor** — the peak RSS of a fresh interpreter that only
+  imports the experiment runner, and whether scipy got loaded there
+  (:func:`import_floor`).  Report only: RSS follows the host and the
+  Python build.
 * **Telemetry A/B** — the fair Fig 16 run with telemetry off vs
   ``verbosity="full"``: the wall-clock ratio is gated
   (``telemetry_overhead_ratio``) and the telemetry-on digest is pinned
@@ -43,6 +47,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -60,6 +65,7 @@ __all__ = [
     "blame_profile",
     "check_against_baseline",
     "GcMeter",
+    "import_floor",
     "main",
 ]
 
@@ -124,6 +130,44 @@ class GcMeter:
             "seconds": self.seconds,
             "python": ".".join(map(str, sys.version_info[:3])),
         }
+
+
+# What a fresh interpreter pays to import the experiment runner.  On
+# Linux a child's ru_maxrss keeps the peak of the process that spawned
+# it (the exec inherits it), so the peak comes from /proc's VmHWM there.
+_IMPORT_FLOOR_SCRIPT = """
+import json, resource, sys
+import repro.experiments.runner
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB, except on macOS (bytes).
+    kib = rss / 1024 if sys.platform == "darwin" else rss
+print(json.dumps({"import_rss_mb": kib / 1024, "scipy_loaded": "scipy" in sys.modules}))
+"""
+
+
+def import_floor() -> Dict[str, Any]:
+    """Peak RSS, in MB, of a fresh ``import repro.experiments.runner``,
+    and whether that import loaded scipy.
+
+    Every experiment, ``bench`` and ``serve`` process pays at least
+    this before its first simulated event.  A fresh interpreter, since
+    this one has long since imported everything.
+    """
+    src = str(Path(__file__).resolve().parents[2])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, path])))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FLOOR_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
 
 
 # ----------------------------------------------------------------------
@@ -550,6 +594,12 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         f"telemetry overhead {telemetry_ratio:>12.2f} x "
         f"({off_s:.3f} s off -> {on_s:.3f} s full)"
     )
+    memory = import_floor()
+    say(
+        f"memory floor       {memory['import_rss_mb']:>12.1f} MB import, "
+        f"scipy {'loaded' if memory['scipy_loaded'] else 'not loaded'} "
+        f"(report only)"
+    )
     digests = digest_table()
     digests.update(fig_digests)
     digests.update(telemetry_digests)
@@ -571,8 +621,10 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
             "telemetry_overhead_ratio": _metric(telemetry_ratio, "x", False),
         },
         "digests": digests,
-        # Report only: collection counts follow the CPython version.
+        # Report only: collection counts follow the CPython version,
+        # RSS the host and the Python build.
         "gc": fig_gc,
+        "memory": memory,
     }
 
 

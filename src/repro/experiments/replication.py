@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from scipy import stats as scipy_stats
-
 from ..metrics import stats
 from ..metrics.report import render_table
 from ..workloads.scenarios import homogeneous_workload
@@ -45,6 +43,13 @@ class ReplicationResult:
         n = len(self.values)
         if n < 2:
             raise ValueError("confidence interval needs >= 2 replicates")
+        try:
+            from scipy import stats as scipy_stats
+        except ImportError as exc:
+            raise ImportError(
+                "confidence intervals need scipy; install the test extra: "
+                "pip install -e '.[test]'"
+            ) from exc
         sem = self.stddev / math.sqrt(n)
         t_crit = scipy_stats.t.ppf(0.5 + level / 2, df=n - 1)
         return (self.mean - t_crit * sem, self.mean + t_crit * sem)

@@ -502,8 +502,4 @@ class GpuDevice:
 
     def utilization(self, window_start: float, window_end: float) -> float:
         """Exact busy fraction over a window (the NVML-average analogue)."""
-        from ..sim.trace import busy_fraction
-
-        return busy_fraction(
-            self.tracer.spans(GPU_GLOBAL_KEY), window_start, window_end
-        )
+        return self.tracer.busy_fraction(GPU_GLOBAL_KEY, window_start, window_end)

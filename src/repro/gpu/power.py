@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.trace import busy_fraction
-from .device import GPU_GLOBAL_KEY, GpuDevice
+from .device import GpuDevice
 
 __all__ = ["PowerModel", "GTX_1080_TI_POWER", "TITAN_X_POWER", "energy_joules"]
 
@@ -75,7 +74,5 @@ def energy_joules(
     if window_end <= window_start:
         raise ValueError("window must have positive length")
     window = window_end - window_start
-    fraction = busy_fraction(
-        device.tracer.spans(GPU_GLOBAL_KEY), window_start, window_end
-    )
+    fraction = device.utilization(window_start, window_end)
     return model.energy(fraction * window, window)

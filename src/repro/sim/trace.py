@@ -21,12 +21,24 @@ cyclic garbage collector.  Every view — :meth:`IntervalTracer.rows`,
 :meth:`IntervalTracer.intervals` / :meth:`IntervalTracer.all_intervals`
 — is built from the columns when asked for, and never cached.  Hot
 readers use :meth:`IntervalTracer.columns` instead.
+
+The tracer's own metric readers (:meth:`IntervalTracer.duration`,
+:meth:`IntervalTracer.duration_between`,
+:meth:`IntervalTracer.busy_fraction`) stream the columns through one
+generator merge and materialise no span list.  A key whose starts are
+non-decreasing (every key of the serial engine) is merged as it
+stands; otherwise (overlapping streams of the multi-stream engine) the
+clipped spans are sorted first.  Either way the merged components, and
+so the builtin ``sum`` over their lengths, equal those of the
+module-level list functions bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import le
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Interval",
@@ -65,22 +77,61 @@ class Interval:
         return Interval(start, end, self.tag)
 
 
+def _merged(
+    spans: Iterable[Tuple[float, float]]
+) -> Iterator[Tuple[float, float]]:
+    """Merge overlapping/adjacent spans, given in non-decreasing start
+    order, into the components of their union, in order."""
+    spans = iter(spans)
+    for cur_start, cur_end in spans:
+        break
+    else:
+        return
+    for start, end in spans:
+        if start <= cur_end:
+            if end > cur_end:
+                cur_end = end
+        else:
+            yield cur_start, cur_end
+            cur_start, cur_end = start, end
+    yield cur_start, cur_end
+
+
+def _clipped(
+    spans: Iterable[Tuple[float, float]], lo: float, hi: float
+) -> Iterator[Tuple[float, float]]:
+    """The non-empty parts of the spans inside ``[lo, hi)``, in order."""
+    for start, end in spans:
+        if lo > start:
+            start = lo
+        if hi < end:
+            end = hi
+        if end > start:
+            yield start, end
+
+
+def _column_union(
+    starts: Sequence[float], spans: Iterable[Tuple[float, float]]
+) -> float:
+    """Union length of ``spans``, streamed in order from a key's columns.
+
+    ``starts`` is the key's start column.  When it is non-decreasing
+    (one C-level pass) the spans are merged as they stream; otherwise
+    they are sorted first.
+    """
+    if not all(map(le, starts, islice(starts, 1, None))):
+        spans = sorted(spans)
+    return sum(end - start for start, end in _merged(spans))
+
+
 def merge_intervals(spans: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
     """Merge overlapping/adjacent ``(start, end)`` spans into a union."""
-    ordered = sorted(spans)
-    merged: List[Tuple[float, float]] = []
-    for start, end in ordered:
-        if merged and start <= merged[-1][1]:
-            prev_start, prev_end = merged[-1]
-            merged[-1] = (prev_start, max(prev_end, end))
-        else:
-            merged.append((start, end))
-    return merged
+    return list(_merged(sorted(spans)))
 
 
 def union_duration(spans: Iterable[Tuple[float, float]]) -> float:
     """Length of the union of spans — the paper's GPU-duration metric."""
-    return sum(end - start for start, end in merge_intervals(spans))
+    return sum(end - start for start, end in _merged(sorted(spans)))
 
 
 def busy_fraction(
@@ -89,12 +140,7 @@ def busy_fraction(
     """Fraction of ``[window_start, window_end)`` covered by the spans."""
     if window_end <= window_start:
         return 0.0
-    clipped = []
-    for start, end in spans:
-        lo = max(start, window_start)
-        hi = min(end, window_end)
-        if hi > lo:
-            clipped.append((lo, hi))
+    clipped = _clipped(spans, window_start, window_end)
     return union_duration(clipped) / (window_end - window_start)
 
 
@@ -240,18 +286,19 @@ class IntervalTracer:
 
     def duration(self, key: Any) -> float:
         """Union duration of all intervals recorded for ``key``."""
-        return union_duration(self.spans(key))
+        starts, ends, _tags = self.columns(key)
+        return _column_union(starts, zip(starts, ends))
 
     def duration_between(self, key: Any, lo: float, hi: float) -> float:
         """Union duration for ``key`` restricted to ``[lo, hi)``."""
         starts, ends, _tags = self.columns(key)
-        clipped = []
-        for start, end in zip(starts, ends):
-            s = start if start > lo else lo
-            e = end if end < hi else hi
-            if e > s:
-                clipped.append((s, e))
-        return union_duration(clipped)
+        return _column_union(starts, _clipped(zip(starts, ends), lo, hi))
+
+    def busy_fraction(self, key: Any, lo: float, hi: float) -> float:
+        """Fraction of ``[lo, hi)`` covered by ``key``'s intervals."""
+        if hi <= lo:
+            return 0.0
+        return self.duration_between(key, lo, hi) / (hi - lo)
 
     def clear(self) -> None:
         self._open.clear()

@@ -19,6 +19,7 @@ from repro.bench import (
     bench_resources,
     bench_tracer,
     check_against_baseline,
+    import_floor,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -123,6 +124,22 @@ class TestGcMeter:
             pass
         gc.collect()
         assert meter.collections == [0, 0, 0]
+
+
+class TestImportFloor:
+    def test_reports_rss_and_no_scipy(self):
+        memory = import_floor()
+        assert set(memory) == {"import_rss_mb", "scipy_loaded"}
+        assert memory["import_rss_mb"] > 0
+        assert memory["scipy_loaded"] is False
+
+    def test_reports_the_childs_own_peak(self):
+        # On Linux a child's ru_maxrss starts at the peak of the process
+        # that spawned it; the floor must not report this one's.
+        ballast = b"\x01" * (128 << 20)
+        memory = import_floor()
+        assert memory["import_rss_mb"] < 100
+        assert len(ballast) == 128 << 20
 
 
 class TestCommittedBaseline:

@@ -3,7 +3,7 @@
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
@@ -183,6 +183,30 @@ class TestTracerAllocations:
         assert tracer.count("total") == 10_001
 
 
+def reference_merge(spans):
+    """The sorted-list union merge the streamed readers replaced."""
+    merged = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            prev_start, prev_end = merged[-1]
+            merged[-1] = (prev_start, max(prev_end, end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def reference_union(spans):
+    return sum(end - start for start, end in reference_merge(spans))
+
+
+def reference_clip(spans, lo, hi):
+    return [
+        (max(start, lo), min(end, hi))
+        for start, end in spans
+        if min(end, hi) > max(start, lo)
+    ]
+
+
 class ReferenceTracer:
     """The tuple-list tracer the columnar one replaced, as an oracle."""
 
@@ -228,13 +252,9 @@ class ReferenceTracer:
                 [(s, e) for s, e, _t in rows],
                 [Interval(s, e, t) for s, e, t in rows],
                 len(rows),
-                union_duration([(s, e) for s, e, _t in rows]),
-                union_duration(
-                    [
-                        (max(s, lo), min(e, hi))
-                        for s, e, _t in rows
-                        if min(e, hi) > max(s, lo)
-                    ]
+                reference_union([(s, e) for s, e, _t in rows]),
+                reference_union(
+                    reference_clip([(s, e) for s, e, _t in rows], lo, hi)
                 ),
             )
         out["all"] = [Interval(s, e, t) for _k, s, e, t in self.all_raw]
@@ -300,3 +320,42 @@ class TestTracerDifferential:
         expected = reference.views(lo, hi)
         got = tracer_views(tracer, expected["keys"], lo, hi)
         assert got == expected
+
+
+# A coarse grid makes tied starts, shared ends, zero-length spans and
+# spans touching the window edges common; free floats make the merged
+# lengths inexact, so a summation-order change would show.
+_GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+_POINT = st.one_of(_GRID, st.floats(min_value=0.0, max_value=4.0, allow_nan=False))
+_SPANS = st.lists(st.tuples(_POINT, _POINT).map(sorted).map(tuple), max_size=40)
+
+
+class TestStreamedReaders:
+    """The tracer's streamed readers equal the sorted-list reference
+    bit for bit, on start-ordered columns (the merge-as-is path, tied
+    starts in any end order) and on unordered ones (the sort path)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spans=_SPANS, lo=_POINT, hi=_POINT, ordered=st.booleans())
+    @example(spans=[(0.0, 1.0), (1.0, 2.0)], lo=1.0, hi=1.0, ordered=True)
+    @example(spans=[(0.5, 2.0), (0.5, 1.0), (3.0, 3.0)], lo=0.5, hi=3.0,
+             ordered=True)
+    @example(spans=[(1.0, 2.0), (0.0, 0.5), (0.25, 1.0)], lo=0.0, hi=1.5,
+             ordered=False)
+    def test_match_sorted_list_reference(self, spans, lo, hi, ordered):
+        if ordered:
+            # Stable on starts only: tied starts keep a random end order.
+            spans = sorted(spans, key=lambda span: span[0])
+        tracer = IntervalTracer()
+        for start, end in spans:
+            tracer.record("k", start, end)
+        between = reference_union(reference_clip(spans, lo, hi))
+        fraction = between / (hi - lo) if hi > lo else 0.0
+
+        assert tracer.duration("k") == reference_union(spans)
+        assert tracer.duration_between("k", lo, hi) == between
+        assert tracer.busy_fraction("k", lo, hi) == fraction
+        assert tracer.busy_fraction("missing", lo, hi) == 0.0
+        assert union_duration(spans) == reference_union(spans)
+        assert busy_fraction(spans, lo, hi) == fraction
+        assert merge_intervals(spans) == reference_merge(spans)
