@@ -145,13 +145,17 @@ except (OSError, StopIteration):
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is in KiB, except on macOS (bytes).
     kib = rss / 1024 if sys.platform == "darwin" else rss
-print(json.dumps({"import_rss_mb": kib / 1024, "scipy_loaded": "scipy" in sys.modules}))
+print(json.dumps({
+    "import_rss_mb": kib / 1024,
+    "scipy_loaded": "scipy" in sys.modules,
+    "numpy_loaded": "numpy" in sys.modules,
+}))
 """
 
 
 def import_floor() -> Dict[str, Any]:
     """Peak RSS, in MB, of a fresh ``import repro.experiments.runner``,
-    and whether that import loaded scipy.
+    and whether that import loaded scipy or numpy.
 
     Every experiment, ``bench`` and ``serve`` process pays at least
     this before its first simulated event.  A fresh interpreter, since
@@ -597,7 +601,8 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
     memory = import_floor()
     say(
         f"memory floor       {memory['import_rss_mb']:>12.1f} MB import, "
-        f"scipy {'loaded' if memory['scipy_loaded'] else 'not loaded'} "
+        f"scipy {'loaded' if memory['scipy_loaded'] else 'not loaded'}, "
+        f"numpy {'loaded' if memory['numpy_loaded'] else 'not loaded'} "
         f"(report only)"
     )
     digests = digest_table()

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .accounting import OlympianProfile
 
 __all__ = ["LinearFit", "LinearProfileModel", "fit_linear", "fit_linear_profile_model"]
@@ -35,7 +33,13 @@ class LinearFit:
 
 
 def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
-    """Least-squares linear fit (requires >= 2 distinct x values)."""
+    """Least-squares linear fit (requires >= 2 distinct x values).
+
+    numpy is imported here, not at module level: only Figure 20's fits
+    need it, and the serving path never loads it.
+    """
+    import numpy as np
+
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} xs vs {len(ys)} ys")
     if len(xs) < 2:

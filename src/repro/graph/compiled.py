@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .node import Node
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,14 +49,6 @@ class CompiledGraph:
         ``node_id -> tuple of child node ids`` in declaration order
         (the order drives thread fan-out, so it must match the
         reference walk).
-    durations_np:
-        The ``durations`` list as a float64 array, for vectorised
-        consumers (planners, benchmarks).  The hot replay loop keeps
-        indexing the plain list — CPython scalar indexing of a list
-        beats numpy scalar extraction.
-    total_duration / total_gpu_duration / total_cpu_duration:
-        Aggregate solo costs at this batch size, computed in one
-        vectorised pass at compile time instead of per-job loops.
     """
 
     __slots__ = (
@@ -71,10 +61,6 @@ class CompiledGraph:
         "durations",
         "num_parents",
         "children_ids",
-        "durations_np",
-        "total_duration",
-        "total_gpu_duration",
-        "total_cpu_duration",
     )
 
     def __init__(self, graph: "Graph", batch_size: int):
@@ -100,12 +86,6 @@ class CompiledGraph:
         self.durations = durations
         self.num_parents = num_parents
         self.children_ids = children_ids
-        arr = np.asarray(durations, dtype=np.float64)
-        gpu_mask = np.asarray(is_gpu, dtype=bool)
-        self.durations_np = arr
-        self.total_duration = float(arr.sum())
-        self.total_gpu_duration = float(arr[gpu_mask].sum())
-        self.total_cpu_duration = self.total_duration - self.total_gpu_duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

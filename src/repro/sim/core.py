@@ -519,10 +519,9 @@ class Simulator:
     ) -> List[Timeout]:
         """Create a chain of timeouts at cumulative offsets of ``delays``.
 
-        Deadlines are precomputed with a vectorised cumulative sum that
-        accumulates in the same order as the scalar loop it replaces, so
-        the schedule is bit-identical to sequential ``timeout`` calls
-        made back-to-back.
+        Deadlines are accumulated left to right from the current clock
+        in one pass, so the schedule is bit-identical to sequential
+        ``timeout`` calls made back-to-back.
         """
         return self._kernel.timeout_chain(delays, value)
 

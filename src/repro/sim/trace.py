@@ -13,14 +13,16 @@ provides:
 The tracer sits on the simulation's hot path (one
 :meth:`IntervalTracer.record_pair` per executed GPU kernel, filing the
 span under its job and the device total), so it stores each key's
-records as three parallel columns (starts, ends, tags) plus one global
-column of keys for record order.  Recording appends scalars only: it
-allocates no tuple, so nothing it keeps is ever traced by CPython's
-cyclic garbage collector.  Every view — :meth:`IntervalTracer.rows`,
-:meth:`IntervalTracer.spans`, the :class:`Interval` objects of
-:meth:`IntervalTracer.intervals` / :meth:`IntervalTracer.all_intervals`
-— is built from the columns when asked for, and never cached.  Hot
-readers use :meth:`IntervalTracer.columns` instead.
+records as three parallel columns: starts and ends as float64
+``array('d')`` columns, tags as a list (a tag may be any object).
+Recording appends scalars only: it allocates no tuple and boxes no
+float it keeps, so a kernel costs ~48 bytes of trace and nothing the
+tracer keeps is ever traced by CPython's cyclic garbage collector.
+Because the columns are float64, a bound recorded as an ``int`` reads
+back as a ``float``.  The :class:`Interval` objects of
+:meth:`IntervalTracer.intervals` are built from the columns when asked
+for, and never cached.  Hot readers use :meth:`IntervalTracer.columns`
+instead.
 
 The tracer's own metric readers (:meth:`IntervalTracer.duration`,
 :meth:`IntervalTracer.duration_between`,
@@ -35,6 +37,7 @@ module-level list functions bit for bit.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from operator import le
@@ -58,7 +61,8 @@ class Interval:
     tag: Any = None
 
     def __post_init__(self):
-        if self.end < self.start:
+        # Negated so a NaN bound, which compares False both ways, fails.
+        if not self.start <= self.end:
             raise ValueError(f"interval ends before it starts: {self}")
 
     @property
@@ -145,7 +149,7 @@ def busy_fraction(
 
 
 # One key's columns: starts, ends and tags, index-aligned.
-_Columns = Tuple[List[float], List[float], List[Any]]
+_Columns = Tuple["array[float]", "array[float]", List[Any]]
 
 # What :meth:`IntervalTracer.columns` returns for an unrecorded key.
 _NO_COLUMNS = ((), (), ())
@@ -156,19 +160,16 @@ class IntervalTracer:
 
     Intervals are grouped by ``key`` (typically a job id) so that
     per-job GPU durations can be computed afterwards.  Internally each
-    key owns three parallel columns (starts, ends, tags) and one global
-    column records which key each record went to, so recording appends
-    scalars and builds no object; every view (:meth:`rows`,
-    :meth:`spans`, :meth:`intervals`, ...) is computed from the columns
-    on demand and never cached.
+    key owns three parallel columns (float64 starts and ends, and a
+    list of tags), so recording appends scalars and builds no object;
+    :meth:`intervals` and the metric readers are computed from the
+    columns on demand and never cached.
     """
 
     def __init__(self):
         self._open: Dict[Any, float] = {}
         # key -> (starts, ends, tags), parallel columns in record order.
         self._columns: Dict[Any, _Columns] = {}
-        # Global record order: the key of each record.
-        self._order: List[Any] = []
 
     def begin(self, key: Any, now: float) -> None:
         """Open an interval for ``key`` at time ``now``."""
@@ -186,12 +187,13 @@ class IntervalTracer:
         return Interval(start, now, tag)
 
     def _new_key(self, key: Any) -> _Columns:
-        columns = self._columns[key] = ([], [], [])
+        columns = self._columns[key] = (array("d"), array("d"), [])
         return columns
 
     def record(self, key: Any, start: float, end: float, tag: Any = None) -> None:
         """Record a complete interval directly."""
-        if end < start:
+        # Negated so a NaN bound, which compares False both ways, fails.
+        if not start <= end:
             raise ValueError(
                 f"interval ends before it starts: [{start!r}, {end!r})"
             )
@@ -202,7 +204,6 @@ class IntervalTracer:
         starts.append(start)
         ends.append(end)
         tags.append(tag)
-        self._order.append(key)
 
     def record_pair(
         self, key: Any, tag: Any, total_key: Any, start: float, end: float
@@ -214,7 +215,7 @@ class IntervalTracer:
         each kernel under its job (tagged with the node) and under the
         all-jobs busy key (tagged with the job) in one call.
         """
-        if end < start:
+        if not start <= end:
             raise ValueError(
                 f"interval ends before it starts: [{start!r}, {end!r})"
             )
@@ -233,17 +234,15 @@ class IntervalTracer:
         starts.append(start)
         ends.append(end)
         tags.append(key)
-        order = self._order
-        order.append(key)
-        order.append(total_key)
 
     def columns(
         self, key: Any
     ) -> Tuple[Sequence[float], Sequence[float], Sequence[Any]]:
         """The ``(starts, ends, tags)`` columns for ``key``, in record order.
 
-        The tracer's own lists, not copies: callers must not mutate
-        them.  An unrecorded key has three empty columns.
+        The tracer's own float64 arrays (an ``int`` bound reads back
+        as a ``float``) and tag list, not copies: callers must not
+        mutate them.  An unrecorded key has three empty columns.
         """
         return self._columns.get(key, _NO_COLUMNS)
 
@@ -256,29 +255,6 @@ class IntervalTracer:
 
     def keys(self) -> List[Any]:
         return list(self._columns)
-
-    def all_intervals(self) -> List[Interval]:
-        """Every interval in global record order."""
-        # Records under one key are appended in global order, so a
-        # per-key cursor walks each key's columns in step with the
-        # order column.
-        columns = self._columns
-        cursors: Dict[Any, int] = {}
-        out = []
-        for key in self._order:
-            index = cursors.get(key, 0)
-            cursors[key] = index + 1
-            starts, ends, tags = columns[key]
-            out.append(Interval(starts[index], ends[index], tags[index]))
-        return out
-
-    def rows(self, key: Any) -> List[Tuple[float, float, Any]]:
-        """The ``(start, end, tag)`` records for ``key``, in order."""
-        return list(zip(*self.columns(key)))
-
-    def spans(self, key: Any) -> List[Tuple[float, float]]:
-        starts, ends, _tags = self.columns(key)
-        return list(zip(starts, ends))
 
     def count(self, key: Any) -> int:
         """Number of intervals recorded for ``key``."""
@@ -303,4 +279,3 @@ class IntervalTracer:
     def clear(self) -> None:
         self._open.clear()
         self._columns.clear()
-        self._order.clear()

@@ -59,8 +59,6 @@ from heapq import heappop, heappush  # lint: disable=PERF002
 from sys import getrefcount
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 __all__ = ["SimKernel", "build_kernel", "FAR_HEAP_LIMIT"]
 
 _INF = float("inf")
@@ -337,26 +335,21 @@ def build_kernel(
     def timeout_chain(
         delays: Sequence[float], value: Any = None
     ) -> List[Any]:
-        """Schedule a run of chained timeouts in one vectorised pass.
+        """Schedule a run of chained timeouts in one pass.
 
-        Timeout ``i`` fires at ``now + delays[0] + ... + delays[i]``.
-        Deadlines come from ``numpy.cumsum`` seeded with the current
-        clock, which accumulates strictly left-to-right in float64 —
-        bit-identical to the scalar loop ``t += d; timeout(...)`` it
-        replaces, so chains can be precomputed without digest drift.
+        Timeout ``i`` fires at ``now + delays[0] + ... + delays[i]``,
+        accumulated strictly left to right in float64 — bit-identical
+        to the scalar loop ``t += d; timeout(...)`` it replaces (and to
+        ``numpy.cumsum`` seeded with the clock), so chains can be
+        precomputed without digest drift.
         """
         ds = list(delays)
         for d in ds:
             if d < 0.0:
                 raise error_t(f"negative timeout delay: {d!r}")
-        if not ds:
-            return []
-        acc = np.empty(len(ds) + 1, dtype=np.float64)
-        acc[0] = now
-        acc[1:] = ds
-        deadlines = np.cumsum(acc)
+        t = now
         out = []
-        for i, d in enumerate(ds):
+        for d in ds:
             if t_pool:
                 ev = t_pool.pop()
                 ev._value = value
@@ -369,7 +362,8 @@ def build_kernel(
                 ev._scheduled = True
                 pools.timeout_allocs += 1
             ev.delay = d
-            insert(ev, float(deadlines[i + 1]))
+            t += d
+            insert(ev, t)
             out.append(ev)
         return out
 

@@ -127,11 +127,12 @@ class TestGcMeter:
 
 
 class TestImportFloor:
-    def test_reports_rss_and_no_scipy(self):
+    def test_reports_rss_and_no_scipy_or_numpy(self):
         memory = import_floor()
-        assert set(memory) == {"import_rss_mb", "scipy_loaded"}
+        assert set(memory) == {"import_rss_mb", "scipy_loaded", "numpy_loaded"}
         assert memory["import_rss_mb"] > 0
         assert memory["scipy_loaded"] is False
+        assert memory["numpy_loaded"] is False
 
     def test_reports_the_childs_own_peak(self):
         # On Linux a child's ru_maxrss starts at the peak of the process

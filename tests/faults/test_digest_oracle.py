@@ -25,6 +25,12 @@ from repro.workloads import complex_workload, homogeneous_workload
 FAST = ExperimentConfig(scale=0.02, quantum=0.8e-3, curve_batches=2)
 
 
+def spans(tracer, key):
+    """``key``'s ``(start, end)`` spans, read from the tracer's columns."""
+    starts, ends, _tags = tracer.columns(key)
+    return list(zip(starts, ends))
+
+
 def _feed(hasher, text):
     hasher.update(text.encode("utf-8"))
     hasher.update(b"\n")
@@ -167,12 +173,12 @@ def test_digest_matches_interval_oracle(name):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_utilization_matches_sorted_list_oracle(name):
     device = result_of(name).server.device
-    spans = device.tracer.spans(GPU_GLOBAL_KEY)
-    end = max(end for _start, end in spans)
+    busy = spans(device.tracer, GPU_GLOBAL_KEY)
+    end = max(end for _start, end in busy)
     windows = [(0.0, end), (end / 3, end / 2), (end, end + 1.0), (end, 0.0)]
     for lo, hi in windows:
         assert device.utilization(lo, hi) == reference_busy_fraction(
-            spans, lo, hi
+            busy, lo, hi
         )
 
 

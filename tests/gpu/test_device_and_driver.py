@@ -14,6 +14,12 @@ def make_gpu_node(node_id=0, duration=100e-6):
     )
 
 
+def spans(tracer, key):
+    """``key``'s ``(start, end)`` spans, read from the tracer's columns."""
+    starts, ends, _tags = tracer.columns(key)
+    return list(zip(starts, ends))
+
+
 @pytest.fixture
 def stack(sim):
     driver = Driver(sim)
@@ -179,9 +185,9 @@ class TestDriverArbitration:
             for i in range(20):
                 driver.launch(job, make_gpu_node(i, 1e-5), 100)
         sim.run()
-        spans = device.tracer.spans(GPU_GLOBAL_KEY)
+        busy = spans(device.tracer, GPU_GLOBAL_KEY)
         from repro.sim import union_duration
 
-        total_busy = union_duration(spans)
-        makespan = max(end for _, end in spans)
+        total_busy = union_duration(busy)
+        makespan = max(end for _, end in busy)
         assert total_busy == pytest.approx(makespan, rel=1e-9)

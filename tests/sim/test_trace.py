@@ -14,6 +14,8 @@ from repro.sim import (
     union_duration,
 )
 
+NAN = float("nan")
+
 
 class TestInterval:
     def test_duration(self):
@@ -22,6 +24,11 @@ class TestInterval:
     def test_rejects_negative_span(self):
         with pytest.raises(ValueError):
             Interval(3.0, 1.0)
+
+    @pytest.mark.parametrize("start, end", [(NAN, 1.0), (0.0, NAN), (NAN, NAN)])
+    def test_rejects_nan_bound(self, start, end):
+        with pytest.raises(ValueError):
+            Interval(start, end)
 
     def test_overlaps(self):
         a = Interval(0.0, 2.0)
@@ -123,7 +130,8 @@ class TestIntervalTracer:
         tracer.record("a", 0.0, 1.0)
         tracer.clear()
         assert tracer.duration("a") == 0.0
-        assert tracer.all_intervals() == []
+        assert tracer.keys() == []
+        assert tracer.count("a") == 0
 
     def test_columns_are_index_aligned(self):
         tracer = IntervalTracer()
@@ -133,8 +141,48 @@ class TestIntervalTracer:
         assert list(starts) == [0.0, 2.0]
         assert list(ends) == [1.0, 3.0]
         assert list(tags) == [7, 8]
-        assert tracer.columns("total") == ([0.0], [1.0], ["job"])
+        assert [list(c) for c in tracer.columns("total")] == [
+            [0.0], [1.0], ["job"]
+        ]
         assert [list(c) for c in tracer.columns("missing")] == [[], [], []]
+
+    def test_columns_store_float64(self):
+        tracer = IntervalTracer()
+        tracer.record("a", 1, 2, tag=3)
+        starts, ends, tags = tracer.columns("a")
+        assert [type(starts[0]), type(ends[0]), type(tags[0])] == [
+            float, float, int
+        ]
+        assert tracer.intervals("a") == [Interval(1.0, 2.0, 3)]
+
+
+class TestNanSpansRejected:
+    """A NaN bound compares False both ways, so ``end < start`` would
+    let it through and poison every union built over its key."""
+
+    BOUNDS = [(NAN, 1.0), (0.0, NAN), (NAN, NAN)]
+
+    @pytest.mark.parametrize("start, end", BOUNDS)
+    def test_record(self, start, end):
+        tracer = IntervalTracer()
+        with pytest.raises(ValueError):
+            tracer.record("a", start, end)
+        assert tracer.count("a") == 0
+
+    @pytest.mark.parametrize("start, end", BOUNDS)
+    def test_record_pair(self, start, end):
+        tracer = IntervalTracer()
+        with pytest.raises(ValueError):
+            tracer.record_pair("job", 0, "total", start, end)
+        assert tracer.keys() == []
+
+    @pytest.mark.parametrize("start, end", BOUNDS)
+    def test_end(self, start, end):
+        tracer = IntervalTracer()
+        tracer.begin("a", start)
+        with pytest.raises(ValueError):
+            tracer.end("a", end)
+        assert tracer.count("a") == 0
 
 
 class TestTracerAllocations:
@@ -143,8 +191,8 @@ class TestTracerAllocations:
     ``gc.get_count()[0]`` counts container allocations minus
     deallocations since the last collection; with the collector off it
     is an exact allocation meter.  Floats, ints and strings are never
-    tracked, and appending to an existing list allocates nothing
-    tracked, so the columns leave the count where it was.
+    tracked, and appending to an existing array or list allocates
+    nothing tracked, so the columns leave the count where it was.
     """
 
     def test_record_and_record_pair_allocate_nothing_tracked(self):
@@ -159,7 +207,7 @@ class TestTracerAllocations:
                 record_pair("job", i & 7, "total", starts[i], ends[i])
                 record("other", starts[i], ends[i], i & 3)
 
-        # Each key's first record builds its column lists: per key, not
+        # Each key's first record builds its columns: per key, not
         # per record.
         fill(1)
         was_enabled = gc.isenabled()
@@ -213,7 +261,6 @@ class ReferenceTracer:
     def __init__(self):
         self.open = {}
         self.raw = {}
-        self.all_raw = []
 
     def begin(self, key, now):
         if key in self.open:
@@ -229,10 +276,9 @@ class ReferenceTracer:
         return Interval(start, now, tag)
 
     def record(self, key, start, end, tag=None):
-        if end < start:
+        if not start <= end:
             raise ValueError(key)
         self.raw.setdefault(key, []).append((start, end, tag))
-        self.all_raw.append((key, start, end, tag))
 
     def record_pair(self, key, tag, total_key, start, end):
         self.record(key, start, end, tag)
@@ -241,15 +287,14 @@ class ReferenceTracer:
     def clear(self):
         self.open.clear()
         self.raw.clear()
-        self.all_raw.clear()
 
     def views(self, lo, hi):
         out = {"keys": list(self.raw)}
         for key in list(self.raw) + ["missing"]:
             rows = self.raw.get(key, [])
             out[key] = (
-                list(rows),
                 [(s, e) for s, e, _t in rows],
+                [t for _s, _e, t in rows],
                 [Interval(s, e, t) for s, e, t in rows],
                 len(rows),
                 reference_union([(s, e) for s, e, _t in rows]),
@@ -257,22 +302,26 @@ class ReferenceTracer:
                     reference_clip([(s, e) for s, e, _t in rows], lo, hi)
                 ),
             )
-        out["all"] = [Interval(s, e, t) for _k, s, e, t in self.all_raw]
         return out
+
+
+def spans(tracer, key):
+    """``key``'s ``(start, end)`` spans, read from the tracer's columns."""
+    starts, ends, _tags = tracer.columns(key)
+    return list(zip(starts, ends))
 
 
 def tracer_views(tracer, keys, lo, hi):
     out = {"keys": tracer.keys()}
     for key in keys + ["missing"]:
         out[key] = (
-            tracer.rows(key),
-            tracer.spans(key),
+            spans(tracer, key),
+            list(tracer.columns(key)[2]),
             tracer.intervals(key),
             tracer.count(key),
             tracer.duration(key),
             tracer.duration_between(key, lo, hi),
         )
-    out["all"] = tracer.all_intervals()
     return out
 
 

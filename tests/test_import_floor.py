@@ -1,11 +1,13 @@
-"""The serving path's import floor: no scipy.
+"""The serving path's import floor: no scipy, no numpy.
 
 scipy is a test extra used only by the replication harness's
 confidence intervals, which import it on call.  Loading it costs ~1 s
 and ~68 MB of resident memory, so a stray module-level import anywhere
-on the serving path would more than double the process floor.  The
-check runs in a fresh interpreter: the test process itself has long
-since imported scipy through the replication tests.
+on the serving path would more than double the process floor.  numpy
+serves only Figure 20's linear fits, which import it on call; loading
+it adds ~13 MB to a ~26 MB floor.  The check runs in a fresh
+interpreter: the test process itself has long since imported both
+through other tests.
 """
 
 import os
@@ -50,13 +52,16 @@ SCRIPT = textwrap.dedent(
     digest = trace_digest(stack.server, scheduler=stack.scheduler, clients=clients)
     utilization = stack.server.utilization(0.0, stack.sim.now)
     assert len(digest) == 64 and 0.0 < utilization <= 1.0
-    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-    print("scipy modules:", len(loaded), loaded[:5])
+    for package in ("scipy", "numpy"):
+        loaded = sorted(
+            name for name in sys.modules if name.split(".")[0] == package
+        )
+        print(f"{package} modules:", len(loaded), loaded[:5])
     """
 )
 
 
-def test_serving_path_never_imports_scipy(tmp_path):
+def test_serving_path_never_imports_scipy_or_numpy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -70,4 +75,7 @@ def test_serving_path_never_imports_scipy(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "scipy modules: 0 []"
+    assert done.stdout.splitlines() == [
+        "scipy modules: 0 []",
+        "numpy modules: 0 []",
+    ]
