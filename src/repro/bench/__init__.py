@@ -24,10 +24,17 @@ that cost and gates it, so a speedup landed once cannot silently rot:
   (:func:`import_floor`).  Report only: RSS follows the host and the
   Python build.
 * **Telemetry A/B** — the fair Fig 16 run with telemetry off vs
-  ``verbosity="full"``: the wall-clock ratio is gated
-  (``telemetry_overhead_ratio``) and the telemetry-on digest is pinned
-  to the telemetry-off value, so observation can neither slow the
-  simulator past budget nor perturb a single scheduling decision.
+  ``verbosity="full"``: the extra seconds per emitted telemetry event
+  are gated (``telemetry_event_cost_us``; the on/off ratio is reported
+  only, since it rises whenever the off path gets faster) and the
+  telemetry-on digest is pinned to the telemetry-off value, so
+  observation can neither slow the simulator past budget nor perturb a
+  single scheduling decision.
+* **Kernel work counters** — generator resumes and calendar buckets
+  per executed kernel on the ``fig16-fair@nb2`` digest run and one
+  Overhead-Q pair run (:func:`bench_counters`).  Deterministic, so the
+  baseline's ``counters`` section holds exact ceilings; Python calls
+  per layer ride along, reported only (they follow the interpreter).
 
 ``bench`` writes ``BENCH_current.json``; ``bench --check`` compares it
 against the committed ``BENCH_BASELINE.json`` (pre-optimisation
@@ -64,6 +71,8 @@ __all__ = [
     "run_benchmarks",
     "blame_profile",
     "check_against_baseline",
+    "count_kernel_work",
+    "bench_counters",
     "GcMeter",
     "import_floor",
     "main",
@@ -436,16 +445,18 @@ def bench_fig16(
 
 def bench_telemetry(
     num_batches: int, repeat: int = 2
-) -> Tuple[float, float, Dict[str, str]]:
-    """(off_best_s, on_best_s, digests): full telemetry A/B on Fig 16.
+) -> Tuple[float, float, int, Dict[str, str]]:
+    """(off_best_s, on_best_s, events, digests): full telemetry A/B on
+    Fig 16.
 
     Runs the fair-scheduler Fig 16 workload with telemetry off and at
     ``verbosity="full"`` (bus + metrics + spans + debug log per event),
     best of ``repeat`` each.  The telemetry-on digest is recorded under
     its own key; the committed baseline pins it to the telemetry-off
     value, so ``bench --check`` fails if observation ever perturbs the
-    run.  The on/off wall-clock ratio is the overhead budget gated by
-    ``telemetry_overhead_ratio``.
+    run.  ``events`` is the number of telemetry events the full run
+    emits: the extra seconds per event are the overhead budget gated by
+    ``telemetry_event_cost_us``.
     """
     from ..experiments.runner import (
         ExperimentConfig,
@@ -462,6 +473,7 @@ def bench_telemetry(
     telemetry_config = TelemetryConfig(verbosity="full")
 
     off_best = on_best = None
+    events = 0
     digests: Dict[str, str] = {}
     for _ in range(max(1, repeat)):
         off_s, off = _timed(lambda: run_workload(
@@ -474,7 +486,117 @@ def bench_telemetry(
         off_best = off_s if off_best is None else min(off_best, off_s)
         on_best = on_s if on_best is None else min(on_best, on_s)
         digests[f"fig16-fair-telemetry@nb{num_batches}"] = on.trace_digest()
-    return off_best, on_best, digests
+        events = on.telemetry_rollup["events_published"]
+    return off_best, on_best, events, digests
+
+
+# The pair run the cost counters take: the first fig16 entry at one
+# quantum of the profiler's grid.
+_COUNTER_QUANTUM = 2.0e-3
+
+_RESUME_CODES = (
+    "<method 'send' of 'generator' objects>",
+    "<method 'throw' of 'generator' objects>",
+)
+
+
+def _layer(code: Any) -> str:
+    """The ``repro`` subpackage a profiled code object lives in."""
+    parts = Path(code.co_filename).parts
+    if "repro" not in parts:
+        return "python"
+    rest = parts[len(parts) - parts[::-1].index("repro"):]
+    return rest[0] if len(rest) > 1 else "repro"
+
+
+def count_kernel_work(run: Callable[[], Tuple[Any, int]]) -> Dict[str, Any]:
+    """Per-kernel cost counters of one simulation, under cProfile.
+
+    ``run()`` executes the simulation and returns ``(sim, kernels)``.
+    ``resumes_per_kernel`` counts ``generator.send``/``throw`` calls
+    (every process resume) and ``buckets_per_kernel`` the calendar
+    buckets the run opened (``Simulator.stats()``): both depend only on
+    the program, so the baseline gates them exactly.  The Python
+    function calls per layer follow the interpreter version and are
+    reported only.
+    """
+    import cProfile
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        sim, kernels = run()
+    finally:
+        profiler.disable()
+    resumes = 0
+    calls: Dict[str, int] = {}
+    for entry in profiler.getstats():
+        if isinstance(entry.code, str):
+            if entry.code in _RESUME_CODES:
+                resumes += entry.callcount
+            continue
+        layer = _layer(entry.code)
+        calls[layer] = calls.get(layer, 0) + entry.callcount
+    buckets = sim.stats()["buckets"]
+    return {
+        "kernels": kernels,
+        "resumes_per_kernel": resumes / kernels,
+        "buckets_per_kernel": buckets / kernels,
+        "python_calls_per_kernel": {
+            layer: count / kernels for layer, count in sorted(calls.items())
+        },
+    }
+
+
+def bench_counters() -> Dict[str, Dict[str, Any]]:
+    """:func:`count_kernel_work` on two runs, keyed by run.
+
+    The ``fig16-fair@nb2`` digest run (scheduled serving on the fig16
+    profile), and one in-process Overhead-Q pair run of the profiler:
+    the cold build runs these on forked workers, where a parent-side
+    profile cannot see them.
+    """
+    from ..core.accounting import ProfileStore
+    from ..experiments.runner import (
+        ExperimentConfig,
+        get_graph,
+        get_profiler_output,
+        offline_profiler,
+        run_workload,
+    )
+    from ..gpu import GPU_GLOBAL_KEY
+    from ..workloads.scenarios import complex_workload
+
+    specs = complex_workload(num_batches=2)
+    config = ExperimentConfig(seed=3, tolerance=0.02)
+    output = get_profiler_output(
+        sorted({(s.model, s.batch_size) for s in specs}), config
+    )
+
+    def scheduled():
+        result = run_workload(
+            specs, scheduler="fair", config=config, profiler_output=output
+        )
+        return result.sim, result.server.tracer.count(GPU_GLOBAL_KEY)
+
+    model, batch = min((s.model, s.batch_size) for s in specs)
+    store = ProfileStore()
+    store.add(output.store.lookup(model, batch))
+    graph = get_graph(model, config.scale, config.graph_seed)
+
+    def pair():
+        sim, server, _ = offline_profiler(config)._pair_stack(
+            graph, batch, _COUNTER_QUANTUM, store, 0
+        )
+        sim.run()
+        return sim, server.tracer.count(GPU_GLOBAL_KEY)
+
+    return {
+        "fig16-fair@nb2": count_kernel_work(scheduled),
+        f"pair:{model}/{batch}@{_COUNTER_QUANTUM * 1e3:g}ms": (
+            count_kernel_work(pair)
+        ),
+    }
 
 
 def digest_table() -> Dict[str, str]:
@@ -562,7 +684,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         profile_s, e2e_s, fig_digests, fig_gc = bench_fig16(
             num_batches=2, repeat=2
         )
-        off_s, on_s, telemetry_digests = bench_telemetry(
+        off_s, on_s, events, telemetry_digests = bench_telemetry(
             num_batches=2, repeat=2
         )
     else:
@@ -576,10 +698,11 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         profile_s, e2e_s, fig_digests, fig_gc = bench_fig16(
             num_batches=6, repeat=3
         )
-        off_s, on_s, telemetry_digests = bench_telemetry(
+        off_s, on_s, events, telemetry_digests = bench_telemetry(
             num_batches=6, repeat=2
         )
     telemetry_ratio = on_s / off_s
+    event_cost_us = (on_s - off_s) / events * 1e6
     say(f"event loop         {loop_eps:>12,.0f} events/s")
     say(f"event loop uniform {uniform_eps:>12,.0f} events/s")
     say(f"event loop bursty  {bursty_eps:>12,.0f} events/s")
@@ -595,9 +718,18 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         f"(report only)"
     )
     say(
-        f"telemetry overhead {telemetry_ratio:>12.2f} x "
-        f"({off_s:.3f} s off -> {on_s:.3f} s full)"
+        f"telemetry cost     {event_cost_us:>12.3f} us/event "
+        f"({off_s:.3f} s off -> {on_s:.3f} s full, {events:,} events; "
+        f"{telemetry_ratio:.2f} x, report only)"
     )
+    counters = bench_counters()
+    for run, counted in counters.items():
+        say(
+            f"kernel work        {counted['resumes_per_kernel']:.4f} resumes, "
+            f"{counted['buckets_per_kernel']:.4f} buckets, "
+            f"{sum(counted['python_calls_per_kernel'].values()):.2f} "
+            f"Python calls per kernel ({run})"
+        )
     memory = import_floor()
     say(
         f"memory floor       {memory['import_rss_mb']:>12.1f} MB import, "
@@ -623,9 +755,15 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
             "resources_ops": _metric(resources_ops, "ops/s", True),
             "profile_build_s": _metric(profile_s, "s", False),
             "fig16_e2e_s": _metric(e2e_s, "s", False),
+            "telemetry_event_cost_us": _metric(
+                event_cost_us, "us/event", False
+            ),
+            # Report only: it rises when the telemetry-off run gets
+            # faster, whatever telemetry itself costs.
             "telemetry_overhead_ratio": _metric(telemetry_ratio, "x", False),
         },
         "digests": digests,
+        "counters": counters,
         # Report only: collection counts follow the CPython version,
         # RSS the host and the Python build.
         "gc": fig_gc,
@@ -759,7 +897,8 @@ def check_against_baseline(
     looser gates).  Metrics without a threshold entry — the cold
     ``profile_build_s``, timed on forked workers whose count follows
     the host — are informational.  Digests must match exactly wherever
-    both sides define them.
+    both sides define them, and every per-kernel counter in the
+    baseline's ``counters`` section is an exact ceiling on its run.
     """
     failures: List[str] = []
     quick = current.get("mode") == "quick"
@@ -783,10 +922,24 @@ def check_against_baseline(
                 )
         else:
             ceiling = ref / gate.get("min_speedup", 1.0)
+            unit = spec.get("unit", "s")
             if value > ceiling:
                 failures.append(
-                    f"{name}: {value:.3f}s exceeds ceiling {ceiling:.3f}s "
-                    f"(baseline {ref:.3f}s / speedup {gate.get('min_speedup', 1.0)})"
+                    f"{name}: {value:.3f} {unit} exceeds ceiling "
+                    f"{ceiling:.3f} {unit} (baseline {ref:.3f} {unit} / "
+                    f"speedup {gate.get('min_speedup', 1.0)})"
+                )
+    base_counters = baseline.get("counters", {})
+    current_counters = current.get("counters", {})
+    for run in sorted(set(base_counters) & set(current_counters)):
+        ceilings = base_counters[run]
+        for counter in sorted(ceilings):
+            value = current_counters[run].get(counter)
+            if value is not None and value > ceilings[counter]:
+                failures.append(
+                    f"counter {counter} on {run}: {value:.4f} exceeds "
+                    f"ceiling {ceilings[counter]:.4f} — more kernel work "
+                    "per executed kernel"
                 )
     base_digests = baseline.get("digests", {})
     for key in sorted(set(base_digests) & set(current.get("digests", {}))):

@@ -156,6 +156,28 @@ class OfflineProfiler:
         of §3.3); otherwise Olympian fair sharing at that quantum
         (case *b*).
         """
+        sim, _server, clients = self._pair_stack(
+            graph, batch_size, quantum, store, run_seed
+        )
+        sim.run()
+        for client in clients:
+            if not client.completed:
+                raise RuntimeError(
+                    f"pair run of {graph.name!r} stalled (client "
+                    f"{client.client_id!r} incomplete)"
+                )
+        return max(client.finish_time for client in clients)
+
+    def _pair_stack(
+        self,
+        graph: Graph,
+        batch_size: int,
+        quantum: Optional[float],
+        store: Optional[ProfileStore],
+        run_seed: int,
+    ) -> Tuple[Simulator, ModelServer, List[Client]]:
+        """The pair run's simulator, server and started clients, not yet
+        run (``repro bench`` counts the kernel's work on one)."""
         sim = Simulator()
         # The seed is shared across the whole Q sweep (and the baseline):
         # back-to-back runs on the same physical card see the same clock
@@ -190,14 +212,7 @@ class OfflineProfiler:
         ]
         for client in clients:
             client.start()
-        sim.run()
-        for client in clients:
-            if not client.completed:
-                raise RuntimeError(
-                    f"pair run of {graph.name!r} stalled (client "
-                    f"{client.client_id!r} incomplete)"
-                )
-        return max(client.finish_time for client in clients)
+        return sim, server, clients
 
     def overhead_q_curve(
         self,

@@ -264,7 +264,7 @@ class GangScheduler(SchedulerHook):
         """
         return (
             self.holder is not job
-            and not job.aborted
+            and not (job.cancelled or job.failed)  # Job.aborted, inlined
             and job.job_id in self._conditions
         )
 

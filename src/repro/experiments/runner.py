@@ -228,7 +228,23 @@ def build_profiler_output(
     """
     if with_curves is None:
         with_curves = config.quantum is None
-    profiler = OfflineProfiler(
+    profiler = offline_profiler(config)
+    graph_entries = [
+        (_model_graph(model, config, graph_overrides), batch)
+        for model, batch in sorted(set(entries))
+    ]
+    return profiler.build(
+        graph_entries,
+        tolerance=config.tolerance,
+        q_values=config.q_values,
+        with_curves=with_curves,
+        fixed_quantum=config.quantum,
+    )
+
+
+def offline_profiler(config: ExperimentConfig) -> OfflineProfiler:
+    """The offline profiler a build under ``config`` runs."""
+    return OfflineProfiler(
         base_config=ServerConfig(
             gpu_spec=config.gpu_spec,
             n_cores=config.n_cores,
@@ -242,17 +258,6 @@ def build_profiler_output(
         seed=config.profile_seed,
         wake_latency=config.wake_latency,
         curve_batches=config.curve_batches,
-    )
-    graph_entries = [
-        (_model_graph(model, config, graph_overrides), batch)
-        for model, batch in sorted(set(entries))
-    ]
-    return profiler.build(
-        graph_entries,
-        tolerance=config.tolerance,
-        q_values=config.q_values,
-        with_curves=with_curves,
-        fixed_quantum=config.quantum,
     )
 
 

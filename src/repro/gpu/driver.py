@@ -31,9 +31,10 @@ multi-stream device (``GpuSpec.streams > 1``) passes an ``eligible``
 predicate, so the spatio-temporal scheduler's per-job concurrency bound
 is enforced at dequeue time, and pulls again whenever its residency
 changes, which replaces the kept callback and so re-evaluates the
-bound.  One pick, :meth:`Driver._pop`, serves both devices; with every
-stream eligible it makes the same picks with the same RNG draws as the
-pre-spatial driver.
+bound.  One pick, :meth:`Driver._pop` behind ``pull``'s O(1)
+single-stream shortcut, serves both devices; with every stream eligible
+it makes the same picks with the same RNG draws as the pre-spatial
+driver.
 """
 
 from __future__ import annotations
@@ -214,9 +215,8 @@ class Driver:
         start = self._idle_start
         if start is not None:
             # The device is idle: it takes this pick right here.
-            chosen = self._pop(self._idle_eligible)
+            chosen = self.pull(start, self._idle_eligible)
             if chosen is not None:
-                self._idle_start = None
                 start(chosen)
 
     # ------------------------------------------------------------------
@@ -286,41 +286,42 @@ class Driver:
         multi-stream device re-evaluates ``eligible`` after its
         residency changes.  Only one device is supported.
         """
-        kernel = self._pop(eligible)
-        if kernel is None:
-            self._idle_start = start
-            self._idle_eligible = eligible
-        else:
-            self._idle_start = None
-        return kernel
+        queued = self._queued
+        if queued:
+            current = self._current_stream
+            queue = self._queues.get(current)
+            if (
+                queue is not None
+                and len(queue) == queued
+                and (eligible is None or eligible(current))
+            ):
+                # Only the current stream has work: the general pick
+                # would choose it with no RNG draw and no stream switch,
+                # and its cleanup would keep only this stream.  O(1).
+                if len(self._queues) > 12:
+                    self._queues = {current: queue}
+                    self._ranks = {current: self._ranks[current]}
+                self._queued = queued - 1
+                self._idle_start = None
+                return queue.popleft()
+            kernel = self._pop(eligible)
+            if kernel is not None:
+                self._idle_start = None
+                return kernel
+        self._idle_start = start
+        self._idle_eligible = eligible
+        return None
 
     def _pop(
         self, eligible: Optional[Callable[[Any], bool]] = None
     ) -> Optional[Kernel]:
-        """Serve the highest-ranked non-empty stream passing ``eligible``.
+        """The general pick: the highest-ranked non-empty stream passing
+        ``eligible``, with queued work (``pull`` checks that first).
 
         ``eligible`` (the multi-stream device's per-job concurrency
         bound) keeps an over-bound stream's kernels queued; None passes
         every stream.  Returns None when no eligible stream has work.
         """
-        queued = self._queued
-        if not queued:
-            return None
-        current = self._current_stream
-        queue = self._queues.get(current)
-        if (
-            queue is not None
-            and len(queue) == queued
-            and (eligible is None or eligible(current))
-        ):
-            # Only the current stream has work: the general pick below
-            # would choose it with no RNG draw and no stream switch, and
-            # its cleanup would keep only this stream.  O(1) here.
-            if len(self._queues) > 12:
-                self._queues = {current: queue}
-                self._ranks = {current: self._ranks[current]}
-            self._queued = queued - 1
-            return queue.popleft()
         nonempty = [job_id for job_id, queue in self._queues.items() if queue]
         candidates = (
             nonempty

@@ -33,13 +33,26 @@ class HostCpu:
         return self.cores.capacity
 
     def execute(self, duration: float):
-        """Occupy one core for ``duration`` seconds (yield from this)."""
+        """Occupy one core for ``duration`` seconds (yield from this).
+
+        A free core is claimed inline, so the caller waits on nothing
+        but the compute itself; a :class:`Request` queues only when
+        every core is busy.
+        """
         if duration < 0:
             raise ValueError(f"negative CPU duration: {duration}")
-        request = self.cores.request()
-        yield request
+        cores = self.cores
+        if cores._in_use < cores.capacity:
+            cores._in_use += 1
+            request = None
+        else:
+            request = cores.request()
+            yield request
         try:
             yield self.sim.timeout(duration)
             self.busy_time += duration
         finally:
-            self.cores.release(request)
+            if request is None:
+                cores.release_slot()
+            else:
+                cores.release(request)

@@ -193,40 +193,25 @@ class Session:
             job.job_id, job.nodes_executed, job.graph.num_nodes
         )
 
-    def _spawned_thread(self, node: Node, ticket: ThreadTicket):
-        """Body of a freshly fetched gang thread for an async child."""
-        delay = self.server.dispatch_delay()
-        if delay > 0.0:
-            yield self.sim.timeout(delay)
-        yield from self._thread_body(node, ticket)
-
     # ------------------------------------------------------------------
     # Compiled replay walker (ServerConfig.compiled, the default)
     # ------------------------------------------------------------------
 
     def _thread_body_compiled(
-        self,
-        start_id: int,
-        ticket: Optional[ThreadTicket],
-        dispatch: bool = False,
+        self, start_id: int, ticket: Optional[ThreadTicket]
     ):
         """Gang-thread body over the precomputed schedule.
 
         Must mirror ``_thread_body`` + ``_compute`` + ``_finish_node``
-        call-for-call: the same events in the same order (the launch
-        latency is a timed callback instead of a sleep), only with the
-        per-node lookups (device, duration, slowdown, scheduler-park
-        test) resolved from flat arrays and hoisted constants, and the
-        node-finish bookkeeping inlined into the loop.  ``dispatch``
-        marks a freshly fetched gang thread, which models OS dispatch
-        latency before starting (the reference path uses a
-        ``_spawned_thread`` wrapper generator for this; folding it in
-        here saves a delegation frame on every resume of the thread).
+        in what reaches the calendar: the same events in the same order
+        (the launch latency is a timed callback instead of a sleep),
+        with the per-node lookups (device, duration, slowdown,
+        scheduler-park test) resolved from flat arrays and hoisted
+        constants, and the node-finish bookkeeping inlined into the
+        loop.  Both walkers spawn a gang thread the same way: the OS
+        dispatch latency is drawn at the spawn and the process kicks
+        off at that deadline (``Simulator.process(..., delay=)``).
         """
-        if dispatch:
-            delay = self.server.dispatch_delay()
-            if delay > 0.0:
-                yield self.sim.timeout(delay)
         job = self.job
         job.gang_threads_now += 1
         if job.gang_threads_now > job.gang_threads_peak:
@@ -251,6 +236,7 @@ class Session:
         launch_after = server.driver.launch_after
         cpu_execute = server.cpu.execute
         try_fetch = server.pool.try_fetch
+        dispatch_delay = server.dispatch_delay
         process = sim.process
         job_id = job.job_id
         batch = job.batch_size
@@ -259,12 +245,13 @@ class Session:
             popleft = queue.popleft
             append = queue.append
             while queue:
-                if job.aborted:
+                # ``Job.aborted`` inlined: read twice per node.
+                if job.cancelled or job.failed:
                     break
                 node_id = popleft()
                 if needs_yield(job):
                     yield from scheduler.yield_(job)
-                    if job.aborted:
+                    if job.cancelled or job.failed:
                         break
                 try:
                     if is_gpu[node_id]:
@@ -313,9 +300,10 @@ class Session:
                         if child_ticket is not None:
                             process(
                                 self._thread_body_compiled(
-                                    child_id, child_ticket, dispatch=True
+                                    child_id, child_ticket
                                 ),
-                                name=f"{job_id}/n{child_id}",
+                                f"{job_id}/n{child_id}",
+                                dispatch_delay(),
                             )
                         else:
                             append(child_id)
@@ -381,12 +369,14 @@ class Session:
                 inline_slot_free = False
             else:
                 # Further ready children fan out onto fresh inter-op
-                # pool threads (Algorithm 1 line 14).
+                # pool threads (Algorithm 1 line 14), which start after
+                # the OS dispatch latency.
                 ticket = self.server.pool.try_fetch()
                 if ticket is not None:
                     self.sim.process(
-                        self._spawned_thread(child, ticket),
+                        self._thread_body(child, ticket),
                         name=f"{job.job_id}/n{child.node_id}",
+                        delay=self.server.dispatch_delay(),
                     )
                 else:
                     # Pool exhausted: delayed, runs inline on this thread.

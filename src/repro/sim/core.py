@@ -28,7 +28,7 @@ closure nest built once per :class:`Simulator`:
   deadline share one bucket, and a small heap orders buckets, so a
   same-tick batch of events costs one heap operation instead of one
   per event (see the :mod:`repro.sim.wheel` docstring for the layout,
-  the insertion cache, and the adaptive far-list).
+  the insertion cache and its open bucket, and the adaptive far-list).
 * The dominant create-fire-resume cycle recycles :class:`Timeout` and
   :class:`Event` instances — and the timed callbacks behind
   :meth:`Simulator.call_later` — through
@@ -61,6 +61,7 @@ Example
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from .pool import KernelPools
@@ -245,7 +246,9 @@ class _Bootstrap(Event):
     A distinct type so :meth:`Process.interrupt` can recognise it and
     leave the registration attached: interrupting a process before its
     first resume still *starts* the generator — the interrupt lands at
-    its first yield point, where the process can catch it.
+    its first yield point, where the process can catch it.  When the
+    kick-off is delayed and the interrupt arrives first, the kernel
+    starts the generator at the interrupt.
     """
 
     __slots__ = ()
@@ -273,6 +276,12 @@ class Process(Event):
     ``_waiting_on`` is the identity of the event whose firing should
     resume the process next; the kernel ignores any other (stale)
     registration, except pending :class:`_Interruption` deliveries.
+
+    ``delay`` postpones the kick-off: the generator starts ``delay``
+    seconds from now, at the calendar position ``sim.timeout(delay)``
+    created here would take.  A process that returns while nobody waits
+    on it is processed in place, with no completion event; a later
+    ``yield`` of it resumes at once with its value.
     """
 
     __slots__ = ("generator", "name", "_waiting_on", "_send", "_throw")
@@ -282,23 +291,33 @@ class Process(Event):
         sim: "Simulator",
         generator: Generator[Event, Any, Any],
         name: str = "",
+        delay: float = 0.0,
     ):
-        super().__init__(sim)
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"process body must be a generator, got {type(generator)!r}"
             )
+        if delay < 0.0:
+            raise SimulationError(f"negative process delay: {delay!r}")
+        # Event.__init__ flattened, here and for the bootstrap: gang
+        # threads make this a per-node path.
+        self.sim = sim
+        self._cb = None
+        self._value = _PENDING
+        self._exc = None
+        self._scheduled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._send = generator.send
         self._throw = generator.throw
-        # Kick off the generator at the current time.
-        bootstrap = _Bootstrap(sim)
-        bootstrap._value = None
-        bootstrap._scheduled = True
+        bootstrap = _Bootstrap.__new__(_Bootstrap)
+        bootstrap.sim = sim
         bootstrap._cb = self
+        bootstrap._value = None
+        bootstrap._exc = None
+        bootstrap._scheduled = True
         self._waiting_on: Optional[Event] = bootstrap
-        sim._schedule_now(bootstrap)
+        sim._insert(bootstrap, sim.now + delay)
 
     @property
     def is_alive(self) -> bool:
@@ -337,10 +356,12 @@ class Process(Event):
             # Pre-start interrupts leave ``_waiting_on`` on the
             # bootstrap: the generator must still start (throwing into
             # a never-started generator raises before any body code
-            # runs).  The bootstrap was scheduled first, so it fires
-            # first; the interruption queued behind it then reaches
-            # the first yield point through the stale-resume
-            # exemption, where the process can catch it.
+            # runs).  An immediate bootstrap was scheduled first, so it
+            # fires first; the interruption queued behind it then
+            # reaches the first yield point through the stale-resume
+            # exemption, where the process can catch it.  A delayed
+            # bootstrap fires later, so the kernel starts the
+            # generator when the interruption arrives instead.
             self._waiting_on = wakeup
         sim._schedule_now(wakeup)
 
@@ -434,6 +455,7 @@ class Simulator:
             timeout_t=Timeout,
             call_t=_Call,
             process_t=Process,
+            bootstrap_t=_Bootstrap,
             interruption_t=_Interruption,
             interrupt_exc=Interrupt,
             error_t=SimulationError,
@@ -443,6 +465,7 @@ class Simulator:
         self._kernel = kernel
         # Hot factories / calendar primitives (documented stubs below
         # are shadowed by these bindings).
+        self.process = partial(Process, self)
         self.timeout = kernel.timeout
         self.call_later = kernel.call_later
         self.event = kernel.event
@@ -464,8 +487,9 @@ class Simulator:
     # ------------------------------------------------------------------
     #
     # ``event``, ``timeout`` and ``call_later`` are rebound per-instance
-    # to the kernel's pooled factories in ``__init__``; the defs below
-    # only provide the class-level API surface (signatures, docstrings,
+    # to the kernel's pooled factories in ``__init__``, and ``process``
+    # straight to the :class:`Process` constructor; the defs below only
+    # provide the class-level API surface (signatures, docstrings,
     # introspection).
 
     def event(self) -> Event:
@@ -491,10 +515,14 @@ class Simulator:
         self._kernel.call_later(delay, callback, value)
 
     def process(
-        self, generator: Generator[Event, Any, Any], name: str = ""
+        self,
+        generator: Generator[Event, Any, Any],
+        name: str = "",
+        delay: float = 0.0,
     ) -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator, name=name)
+        """Start a new process running ``generator``, ``delay`` seconds
+        from now (at the calendar position of ``timeout(delay)``)."""
+        return Process(self, generator, name, delay)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -549,6 +577,15 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._kernel.peek()
+
+    def stats(self) -> dict:
+        """Calendar and pool counters.
+
+        ``buckets`` counts the calendar buckets opened so far (each is
+        one heap entry); the pools' allocation counters ride along.
+        Deterministic for a fixed program, so a cost gate can pin them.
+        """
+        return self._kernel.stats()
 
     def run(
         self,

@@ -103,6 +103,16 @@ class Resource:
         """Return the slot held by ``request``."""
         if request.resource is not self:
             raise SimulationError("release of a request from another resource")
+        self.release_slot()
+
+    def release_slot(self) -> None:
+        """Return one slot, however it was claimed.
+
+        The release half of a slot claimed inline (``_in_use`` bumped
+        while a slot was free, no :class:`Request`), and the body of
+        :meth:`release`: the slot goes straight to the next live waiter,
+        or back to the pool.
+        """
         waiters = self._waiters
         while waiters:
             nxt = waiters.popleft()

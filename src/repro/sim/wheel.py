@@ -16,10 +16,15 @@ Layout
   equal ``t`` pop in creation order.
 * insertion cache — the most recently touched ``(t, bucket)`` pair.
   Consecutive inserts at one deadline append straight to the cached
-  bucket with no heap traffic.  The cache is invalidated when a bucket
-  at the cached time is popped, so events scheduled *during* dispatch
-  at the current time open a fresh bucket (which pops after every
-  older same-time bucket — exactly the per-event heap's order).
+  bucket with no heap traffic.  When a bucket at ``t`` pops, the cache
+  becomes that bucket (the *open bucket*) unless another bucket at
+  ``t`` still waits in the heap.  Events scheduled *during* dispatch at
+  the current time then append to the bucket being dispatched, and the
+  dispatch loop reaches them after its older events: a ``done`` fired
+  mid-dispatch costs no heap push, pop or bucket.  If another bucket at
+  ``t`` waits, the cache is invalidated instead and such events open a
+  fresh bucket, which pops after every older same-time bucket.  A
+  retired bucket never stays cached.
 * ``far`` — the adaptive overflow list.  When the near heap grows past
   a threshold, a horizon is chosen from the observed deadline spread;
   inserts beyond it are appended (unsorted, O(1)) to ``far`` and only
@@ -33,13 +38,27 @@ Layout
 
 Ordering guarantee
 ------------------
-For any two events with equal deadline, bucket creation order equals
-event insertion order: once a bucket at time ``t`` leaves the insertion
-cache, no *older* bucket at ``t`` can re-enter it, so same-``t`` events
-always land in creation-ordered buckets.  Ties therefore break by
-insertion order globally — bit-identical to the per-event heap the
-kernel replaced, which is what keeps every scheduler trace digest
-unchanged.
+Events dispatch in ``(deadline, insertion order)`` order — bit-identical
+to the per-event heap the kernel replaced, which is what keeps every
+scheduler trace digest unchanged.  For equal deadlines, bucket creation
+order equals event insertion order: once a bucket at time ``t`` leaves
+the insertion cache, no *older* bucket at ``t`` can re-enter it, so
+same-``t`` events always land in creation-ordered buckets.  The open
+bucket keeps this: an event appended to it is younger than every event
+already in it, and no other bucket at ``t`` is waiting, so the
+per-event heap would dispatch it right after them too.
+
+Two process rules remove events no waiter observes, without changing
+the order of the ones that remain:
+
+* a process started with a delay (``Simulator.process(..., delay=)``)
+  puts its bootstrap at ``now + delay``, where ``timeout(delay)`` would
+  go, instead of at ``now`` followed by a sleep;
+* a process whose generator returns while nobody waits on it is
+  marked processed in place instead of completing through the
+  calendar; a later ``yield`` of it resumes at once, as any yield of a
+  processed event does.  A waited process still completes through the
+  calendar.
 
 The kernel is built as a closure nest (:func:`build_kernel`) rather
 than a class: the hot state — clock, heap, cache, pools — lives in
@@ -107,6 +126,7 @@ def build_kernel(
     timeout_t: type,
     call_t: type,
     process_t: type,
+    bootstrap_t: type,
     interruption_t: type,
     interrupt_exc: type,
     error_t: type,
@@ -432,6 +452,15 @@ def build_kernel(
                 return
             if proc._value is not pending or proc._exc is not None:
                 return
+            boot = proc._waiting_on
+            if type(boot) is bootstrap_t:
+                # The interrupt overtook a delayed kick-off: start the
+                # generator now, so the Interrupt lands at its first
+                # yield point as it would behind an immediate kick-off.
+                # The bootstrap left on the calendar fires stale.
+                _resume_proc(proc, boot)
+                if proc._value is not pending or proc._exc is not None:
+                    return
         active_proc = proc
         try:
             if ev._exc is None:
@@ -442,7 +471,11 @@ def build_kernel(
             proc._waiting_on = None
             proc._value = stop.value
             proc._scheduled = True
-            insert(proc, now)
+            if proc._cb is None:
+                # Nobody waits: complete in place, no calendar event.
+                proc._cb = processed
+            else:
+                insert(proc, now)
             return
         except interrupt_exc as exc:
             proc._waiting_on = None
@@ -511,7 +544,7 @@ def build_kernel(
     # ------------------------------------------------------------------
 
     def run(until: Optional[float] = None) -> None:
-        nonlocal now, cache_t, active_proc, cursor_b, cursor_i
+        nonlocal now, cache_t, cache_b, active_proc, cursor_b, cursor_i
         # Finish a bucket left half-consumed by step() before entering
         # the batch loop (its events are due at the current time, which
         # the caller has already checked is <= until).
@@ -521,6 +554,8 @@ def build_kernel(
                 ev = b[cursor_i]
                 cursor_i += 1
                 _dispatch_one(ev)
+            if cache_b is b:
+                cache_t = -1.0
             b.clear()
             free.append(b)
             cursor_b = None
@@ -572,11 +607,16 @@ def build_kernel(
                 b = tup[2]
                 now = t
                 sim_l.now = t
-                if t == cache_t:
-                    # Same-time events scheduled during dispatch must
-                    # open a *fresh* bucket (pops after all older
-                    # same-time buckets — the per-event heap's order).
+                if times_l and times_l[0][0] == t:
+                    # Another bucket at t waits: same-time events
+                    # scheduled during dispatch queue behind it, in a
+                    # fresh bucket.
                     cache_t = -1.0
+                else:
+                    # Open bucket: they append to b, and the loop below
+                    # reaches them after b's older events.
+                    cache_t = t
+                    cache_b = b
                 for ev in b:
                     cb = ev._cb
                     ev._cb = processed_l
@@ -599,7 +639,10 @@ def build_kernel(
                             cb._waiting_on = None
                             cb._value = stop.value
                             cb._scheduled = True
-                            insert(cb, now)
+                            if cb._cb is None:
+                                cb._cb = processed_l
+                            else:
+                                insert(cb, now)
                             if is_to:
                                 if getref_l(ev) == 3:
                                     ev._cb = None
@@ -687,6 +730,8 @@ def build_kernel(
                     active_proc = None
                     cb(ev)
                 active_proc = None
+                if cache_b is b:
+                    cache_t = -1.0
                 b.clear()
                 free_l.append(b)
             if until is not None:
@@ -694,12 +739,14 @@ def build_kernel(
                 sim.now = until
         finally:
             active_proc = None
+            # A dispatch that raised leaves its bucket open; forget it.
+            cache_t = -1.0
 
     def queue_empty() -> bool:
         return cursor_b is None and not times and not far
 
     def step() -> None:
-        nonlocal now, cache_t, cursor_b, cursor_i
+        nonlocal now, cache_t, cache_b, cursor_b, cursor_i
         b = cursor_b
         if b is None:
             if far and (not times or far_min <= times[0][0]):
@@ -710,18 +757,28 @@ def build_kernel(
             t = tup[0]
             now = t
             sim.now = t
-            if t == cache_t:
-                cache_t = -1.0
             b = tup[2]
+            # The open-bucket rule of run().
+            if times and times[0][0] == t:
+                cache_t = -1.0
+            else:
+                cache_t = t
+                cache_b = b
             cursor_b = b
             cursor_i = 0
         ev = b[cursor_i]
         cursor_i += 1
-        if cursor_i >= len(b):
-            cursor_b = None
-            b.clear()
-            free.append(b)
-        _dispatch_one(ev)
+        try:
+            _dispatch_one(ev)
+        finally:
+            # Retire the bucket only once the dispatch is over: it may
+            # have appended same-time events to the open bucket.
+            if cursor_b is b and cursor_i >= len(b):
+                cursor_b = None
+                if cache_b is b:
+                    cache_t = -1.0
+                b.clear()
+                free.append(b)
 
     def peek() -> float:
         if cursor_b is not None:
@@ -779,6 +836,9 @@ def build_kernel(
     def stats() -> dict:
         snapshot = {
             "now": now,
+            # Buckets ever opened: one heap entry each, the calendar's
+            # unit of cost.
+            "buckets": seq,
             "near_buckets": len(times),
             "far_buckets": len(far),
             "horizon": horizon,

@@ -19,6 +19,7 @@ from repro.bench import (
     bench_resources,
     bench_tracer,
     check_against_baseline,
+    count_kernel_work,
     import_floor,
 )
 
@@ -97,6 +98,61 @@ class TestCheckAgainstBaseline:
         assert check_against_baseline(current, self.BASELINE) == []
 
 
+class TestCounterGate:
+    BASELINE = {
+        "counters": {
+            "run-a": {"resumes_per_kernel": 1.5, "buckets_per_kernel": 2.5},
+            "run-b": {"buckets_per_kernel": 3.0},
+        }
+    }
+
+    def current(self, **runs):
+        current = report()
+        current["counters"] = runs
+        return current
+
+    def test_equal_or_lower_passes(self):
+        current = self.current(
+            **{
+                "run-a": {"resumes_per_kernel": 1.5, "buckets_per_kernel": 2.4},
+                "run-b": {"buckets_per_kernel": 3.0, "resumes_per_kernel": 9.0},
+            }
+        )
+        # run-b's resumes carry no committed ceiling: reported only.
+        assert check_against_baseline(current, self.BASELINE) == []
+
+    def test_any_rise_fails_naming_counter_and_run(self):
+        current = self.current(
+            **{"run-a": {"resumes_per_kernel": 1.5000001, "buckets_per_kernel": 2.5}}
+        )
+        failures = check_against_baseline(current, self.BASELINE)
+        assert len(failures) == 1
+        assert "resumes_per_kernel" in failures[0] and "run-a" in failures[0]
+
+
+class TestCountKernelWork:
+    def test_counts_resumes_and_buckets(self):
+        from repro.sim import Simulator
+
+        def run():
+            sim = Simulator()
+
+            def ping():
+                for _ in range(3):
+                    yield sim.timeout(1.0)
+
+            for _ in range(2):
+                sim.process(ping())
+            sim.run()
+            return sim, 4
+
+        counted = count_kernel_work(run)
+        # Two kick-offs and three wake-ups each; buckets at t=0..3.
+        assert counted["resumes_per_kernel"] == 8 / 4
+        assert counted["buckets_per_kernel"] == 4 / 4
+        assert counted["python_calls_per_kernel"]["sim"] > 0
+
+
 class TestMicrobenchSmoke:
     def test_event_loop_rate_positive(self):
         rate = bench_event_loop(num_procs=2, events_per_proc=200)
@@ -156,6 +212,22 @@ class TestCommittedBaseline:
         """The PR's acceptance criterion lives in the baseline file."""
         gate = self.baseline()["thresholds"]["fig16_e2e_s"]
         assert gate["min_speedup"] >= 1.5
+
+    def test_telemetry_gate_is_the_per_event_cost(self):
+        baseline = self.baseline()
+        for section in ("thresholds", "quick_thresholds"):
+            assert "telemetry_event_cost_us" in baseline[section]
+            assert "telemetry_overhead_ratio" not in baseline[section]
+
+    def test_counter_ceilings_cover_both_runs(self):
+        counters = self.baseline()["counters"]
+        assert "fig16-fair@nb2" in counters
+        assert any(run.startswith("pair:") for run in counters)
+        for run in counters:
+            assert set(counters[run]) == {
+                "resumes_per_kernel",
+                "buckets_per_kernel",
+            }
 
     def test_every_scheduler_kind_has_a_digest(self):
         from repro.experiments.runner import SCHEDULER_KINDS

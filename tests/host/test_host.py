@@ -52,6 +52,29 @@ class TestHostCpu:
         with pytest.raises(ValueError):
             sim.run()
 
+    def test_free_core_is_claimed_inline(self, sim):
+        # A free core is taken without a Request: the node's only
+        # calendar event is its compute timeout.  The second node finds
+        # every core busy and queues behind the first.
+        cpu = HostCpu(sim, n_cores=1)
+        seen = []
+
+        def worker(tag):
+            yield from cpu.execute(1.0)
+            seen.append((sim.now, tag, cpu.cores.in_use))
+
+        sim.process(worker("a"))
+        sim.process(worker("b"))
+        sim.step()  # a's kick-off: claims the core, sleeps
+        assert cpu.cores.in_use == 1 and cpu.cores.queue_length == 0
+        sim.step()  # b's kick-off: every core busy, queues
+        assert cpu.cores.queue_length == 1
+        # No grant event at t=0: next is a's compute timeout.
+        assert sim.peek() == 1.0
+        sim.run()
+        # a hands its core straight to b; b gives it back.
+        assert seen == [(1.0, "a", 1), (2.0, "b", 0)]
+
 
 class TestThreadPool:
     def test_fetch_and_release(self):

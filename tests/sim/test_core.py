@@ -368,6 +368,193 @@ class TestProcess:
         assert result == [(2.0, "ab")]
 
 
+RUNNERS = ["run", "run_reference"]
+
+
+class TestDelayedKickoff:
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_starts_at_its_deadline(self, runner):
+        sim = Simulator()
+        log = []
+
+        def body():
+            log.append(("started", sim.now))
+            yield sim.timeout(1.0)
+
+        sim.process(body(), delay=2.5)
+        getattr(sim, runner)()
+        assert log == [("started", 2.5)]
+        assert sim.now == 3.5
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_takes_the_calendar_position_of_a_timeout(self, runner):
+        # A timeout made just before the spawn fires first, one made
+        # just after fires second: the kick-off sits between them.
+        sim = Simulator()
+        log = []
+
+        def waiter(tag):
+            yield sim.timeout(1.0)
+            log.append(tag)
+
+        def body():
+            log.append("kicked")
+            yield sim.timeout(0.0)
+
+        def spawner():
+            sim.process(waiter("before"))
+            yield sim.timeout(0.0)
+            sim.timeout(1.0).add_callback(lambda ev: log.append("cb-before"))
+            sim.process(body(), delay=1.0)
+            sim.timeout(1.0).add_callback(lambda ev: log.append("cb-after"))
+
+        sim.process(spawner())
+        getattr(sim, runner)()
+        assert log == ["before", "cb-before", "kicked", "cb-after"]
+
+    def test_negative_delay_rejected(self, sim):
+        def body():
+            yield sim.timeout(1.0)
+
+        with pytest.raises(SimulationError, match="negative process delay"):
+            sim.process(body(), delay=-1e-9)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_interrupt_before_deadline_starts_generator(self, runner):
+        # The delayed twin of test_interrupt_before_run_starts_generator
+        # (tests/sim/test_differential.py): the interrupt overtakes the
+        # kick-off, so the generator starts when the interrupt arrives
+        # and the Interrupt lands at its first yield, where it is caught.
+        sim = Simulator()
+        log = []
+
+        def body():
+            log.append(("started", sim.now))
+            try:
+                yield sim.timeout(1.0)
+                log.append("slept")
+            except Interrupt as exc:
+                log.append(("caught", exc.cause, sim.now))
+            yield sim.timeout(0.5)
+            log.append(("resumed", sim.now))
+
+        def agitator(proc):
+            yield sim.timeout(1.0)
+            proc.interrupt(cause="early")
+
+        proc = sim.process(body(), name="late-target", delay=3.0)
+        sim.process(agitator(proc))
+        getattr(sim, runner)()
+        # The stale kick-off at t=3.0 and the stale timeout at t=2.0 are
+        # both ignored.
+        assert log == [
+            ("started", 1.0),
+            ("caught", "early", 1.0),
+            ("resumed", 1.5),
+        ]
+        assert proc.ok
+        assert sim.now == 3.0
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_interrupt_before_run_on_delayed_kickoff(self, runner):
+        sim = Simulator()
+        log = []
+
+        def body():
+            log.append("started")
+            try:
+                yield sim.timeout(1.0)
+            except Interrupt as exc:
+                log.append(("caught", exc.cause, sim.now))
+
+        proc = sim.process(body(), delay=2.0)
+        proc.interrupt(cause="pre-start")
+        getattr(sim, runner)()
+        assert log == ["started", ("caught", "pre-start", 0.0)]
+        assert proc.ok
+
+
+class TestUnwaitedCompletion:
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_late_join_resumes_in_the_same_instant(self, runner):
+        sim = Simulator()
+        log = []
+
+        def child():
+            yield sim.timeout(1.0)
+            return "result"
+
+        def parent(proc):
+            yield sim.timeout(2.0)
+            assert not proc.is_alive
+            got = yield proc
+            log.append((sim.now, got))
+            yield sim.timeout(0.0)
+            log.append((sim.now, "after"))
+
+        proc = sim.process(child())
+        sim.process(parent(proc))
+        getattr(sim, runner)()
+        assert log == [(2.0, "result"), (2.0, "after")]
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_flags_read_as_before(self, runner):
+        sim = Simulator()
+        seen = []
+
+        def child():
+            yield sim.timeout(1.0)
+            return 42
+
+        proc = sim.process(child())
+        seen.append((proc.is_alive, proc.triggered, proc.processed))
+        getattr(sim, runner)(until=0.5)
+        seen.append((proc.is_alive, proc.triggered, proc.processed))
+        getattr(sim, runner)()
+        assert seen == [(True, False, False), (True, False, False)]
+        assert not proc.is_alive
+        assert proc.triggered and proc.processed and proc.ok
+        assert proc.value == 42
+        late = []
+        proc.add_callback(lambda ev: late.append(ev.value))
+        assert late == [42]
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_completion_puts_nothing_on_the_calendar(self, runner):
+        sim = Simulator()
+
+        def child():
+            yield sim.timeout(1.0)
+
+        sim.process(child())
+        getattr(sim, runner)(until=1.0)
+        # The bootstrap bucket and the timeout's: nothing at t=1.0 after.
+        assert sim.stats()["buckets"] == 2
+        assert sim.peek() == float("inf")
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_waited_process_still_completes_through_the_calendar(
+        self, runner
+    ):
+        # The joiner waits, so the completion is an event at t=1.0 that
+        # queues behind the callback registered at the same instant.
+        sim = Simulator()
+        log = []
+
+        def child():
+            yield sim.timeout(1.0)
+            sim.timeout(0.0).add_callback(lambda ev: log.append("cb"))
+            return "done"
+
+        def joiner():
+            got = yield sim.process(child())
+            log.append(got)
+
+        sim.process(joiner())
+        getattr(sim, runner)()
+        assert log == ["cb", "done"]
+
+
 class TestCombinators:
     def test_any_of_fires_on_first(self, sim):
         got = []

@@ -18,9 +18,16 @@ Each generator stresses a specific kernel risk surface:
 * AnyOf/AllOf over shared events plus failures — the combinator
   callback-list path;
 * resource churn with random cancellations — lazy O(1) cancel and
-  pooled-event slot reuse after a cancelled wait.
+  pooled-event slot reuse after a cancelled wait;
+* same-instant cascades, unwaited process completions and delayed
+  kick-offs — the open-bucket rule, in-place completion and the
+  overtaken-bootstrap interrupt.  Because both loops share one
+  calendar, this generator also checks the calendar's own promise
+  independently: every dispatch it observes must arrive in
+  ``(time, insertion order)`` order.
 """
 
+import itertools
 import random
 
 import pytest
@@ -394,3 +401,122 @@ def test_pool_reuse_after_cancellation_is_clean():
     sim.process(flaky())
     sim.run()
     assert log == [("cancelled", 1.0), ("clean", 2.0)]
+
+
+# ----------------------------------------------------------------------
+# Same-instant cascades, unwaited completions, delayed kick-offs
+# ----------------------------------------------------------------------
+
+def build_cascade_storm(sim, rng, trace):
+    """Actors that cascade work at the current instant while other
+    buckets at that instant may already be waiting.
+
+    Each calendar insertion the storm can observe draws a ticket from
+    one counter at the moment it is made, and its dispatch logs an
+    ``("ord", now, ticket, tag)`` entry.  Ties break by insertion order,
+    so those entries must come out sorted.  Observations that are not
+    one dispatch (a join of an already finished process, a generator
+    started by an overtaking interrupt) log under other tags.
+    """
+    tickets = itertools.count()
+
+    def observe(tag, ticket):
+        trace.append(("ord", sim.now, ticket, tag))
+
+    def child(steps):
+        for _ in range(steps):
+            ticket = next(tickets)
+            got = yield sim.timeout(rng.choice([0.0, 1e-6]), value=ticket)
+            observe("child-tick", got)
+        # Stamped as the return inserts the completion (when waited).
+        return next(tickets)
+
+    def kicked(kid):
+        trace.append(("started", sim.now, kid))
+        try:
+            got = yield sim.timeout(1e-6, value=next(tickets))
+            observe("kicked-slept", got)
+        except Interrupt as exc:
+            observe("kicked-caught", exc.cause)
+
+    def join(proc):
+        alive = proc.is_alive
+        got = yield proc
+        if alive:
+            observe("join", got)
+        else:
+            trace.append(("late-join", sim.now, got))
+
+    def actor(aid):
+        unwaited = []
+        for i in range(rng.randrange(8, 20)):
+            action = rng.random()
+            if action < 0.2:
+                ev = sim.event()
+                ev.succeed(next(tickets))
+                observe("succeed", (yield ev))
+            elif action < 0.35:
+                got = yield sim.timeout(0.0, value=next(tickets))
+                observe("timeout0", got)
+            elif action < 0.45:
+                sim.call_later(
+                    0.0, lambda got: observe("call0", got), next(tickets)
+                )
+            elif action < 0.65:
+                delay = rng.choice([1e-6, 2e-6, 3e-6])
+                got = yield sim.timeout(delay, value=next(tickets))
+                observe("tick", got)
+            elif action < 0.8:
+                proc = sim.process(
+                    child(rng.randrange(0, 3)), name=f"child-{aid}-{i}"
+                )
+                if rng.random() < 0.5:
+                    yield from join(proc)
+                else:
+                    unwaited.append(proc)
+            elif action < 0.9:
+                delay = rng.choice([0.0, 1e-6, 2e-6])
+                proc = sim.process(
+                    kicked((aid, i)), name=f"kicked-{aid}-{i}", delay=delay
+                )
+                if rng.random() < 0.4:
+                    proc.interrupt(next(tickets))
+                    if delay > 0.0:
+                        trace.append(("overtaken", sim.now, (aid, i)))
+            elif unwaited:
+                yield from join(unwaited.pop(0))
+        for proc in unwaited:
+            yield from join(proc)
+        trace.append(("done", aid))
+
+    for aid in range(CASCADE_ACTORS):
+        sim.process(actor(aid), name=f"actor-{aid}")
+
+
+CASCADE_ACTORS = 8
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cascade_storm_matches_reference(seed):
+    trace = run_pair(build_cascade_storm, seed)
+    observed = [(entry[1], entry[2]) for entry in trace if entry[0] == "ord"]
+    assert observed == sorted(set(observed))
+    done = [entry for entry in trace if entry[0] == "done"]
+    assert len(done) == CASCADE_ACTORS
+    tags = {entry[3] for entry in trace if entry[0] == "ord"}
+    assert {"succeed", "timeout0", "call0", "join"} <= tags
+    assert any(entry[0] == "late-join" for entry in trace)
+
+
+def test_cascade_storm_covers_overtaken_kickoffs():
+    # An interrupt that overtakes a delayed kick-off starts the
+    # generator in the interrupt's instant, not at the deadline.
+    overtaken = 0
+    for seed in range(8):
+        trace = run_pair(build_cascade_storm, seed)
+        started = {e[2]: e[1] for e in trace if e[0] == "started"}
+        for entry in trace:
+            if entry[0] == "overtaken":
+                overtaken += 1
+                assert started[entry[2]] == entry[1]
+    assert overtaken > 0

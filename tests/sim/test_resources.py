@@ -48,6 +48,19 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release(req)
 
+    def test_release_slot_hands_off_and_checks_underflow(self, sim):
+        # The release half of a slot claimed inline, without a Request.
+        res = Resource(sim, capacity=1)
+        res._in_use += 1
+        waiter = res.request()
+        assert not waiter.triggered
+        res.release_slot()
+        assert waiter.triggered and res.in_use == 1
+        res.release(waiter)
+        assert res.in_use == 0
+        with pytest.raises(SimulationError, match="more than acquired"):
+            res.release_slot()
+
     def test_try_request(self, sim):
         res = Resource(sim, capacity=1)
         first = res.try_request()
