@@ -77,7 +77,7 @@ def build_trace_events(
 
     lo, hi = window if window is not None else (float("-inf"), float("inf"))
     # Per-job intervals are recorded under the job key with the node id
-    # as tag; the aggregate track duplicates them and is skipped.
+    # as tag; the aggregate track is a view over them and is skipped.
     for key in server.tracer.keys():
         if key == GPU_GLOBAL_KEY:
             continue

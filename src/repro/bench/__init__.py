@@ -13,7 +13,8 @@ that cost and gates it, so a speedup landed once cannot silently rot:
   cold profile build (empty caches, as after any source edit) timed
   separately from the scheduled runs as `profile_build_s`.
 * **Determinism table** — `trace_digest` for every scheduler kind plus
-  the Fig 16 runs; an optimisation that changes any digest is a bug,
+  the Fig 16 runs, an open loop behind an admission gate and a
+  two-GPU cluster; an optimisation that changes any digest is a bug,
   however fast.
 * **Garbage collector** — CPython's cyclic-GC collections per
   generation during the Fig 16 digest runs, and the seconds spent in
@@ -30,11 +31,13 @@ that cost and gates it, so a speedup landed once cannot silently rot:
   telemetry-on digest is pinned to the telemetry-off value, so
   observation can neither slow the simulator past budget nor perturb a
   single scheduling decision.
-* **Kernel work counters** — generator resumes and calendar buckets
-  per executed kernel on the ``fig16-fair@nb2`` digest run and one
-  Overhead-Q pair run (:func:`bench_counters`).  Deterministic, so the
-  baseline's ``counters`` section holds exact ceilings; Python calls
-  per layer ride along, reported only (they follow the interpreter).
+* **Kernel work counters** — generator resumes, calendar buckets and
+  stored trace bytes per executed kernel on the ``fig16-fair@nb2``
+  digest run, the same workload under ``spatial`` on 4 streams, and
+  one Overhead-Q pair run (:func:`bench_counters`).
+  Deterministic, so the baseline's ``counters`` section holds exact
+  ceilings; Python calls per layer ride along, reported only (they
+  follow the interpreter).
 
 ``bench`` writes ``BENCH_current.json``; ``bench --check`` compares it
 against the committed ``BENCH_BASELINE.json`` (pre-optimisation
@@ -52,12 +55,14 @@ not a loophole — no simulated quantity ever depends on these reads.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -89,6 +94,11 @@ _DIGEST_BATCHES = 2
 # The spatial kinds are additionally pinned on a multi-stream device
 # (the serial-path pins above already cover them at streams=1).
 _DIGEST_STREAMS = 4
+# The open-loop admission entry offers this many arrivals; the
+# multi-GPU entry spreads the quick Fig 16 workload over this many
+# devices.
+_OPENLOOP_ARRIVALS = 60
+_DIGEST_GPUS = 2
 
 
 def _now() -> float:
@@ -509,23 +519,26 @@ def _layer(code: Any) -> str:
     return rest[0] if len(rest) > 1 else "repro"
 
 
-def count_kernel_work(run: Callable[[], Tuple[Any, int]]) -> Dict[str, Any]:
+def count_kernel_work(run: Callable[[], Tuple[Any, ...]]) -> Dict[str, Any]:
     """Per-kernel cost counters of one simulation, under cProfile.
 
-    ``run()`` executes the simulation and returns ``(sim, kernels)``.
-    ``resumes_per_kernel`` counts ``generator.send``/``throw`` calls
-    (every process resume) and ``buckets_per_kernel`` the calendar
-    buckets the run opened (``Simulator.stats()``): both depend only on
-    the program, so the baseline gates them exactly.  The Python
-    function calls per layer follow the interpreter version and are
-    reported only.
+    ``run()`` executes the simulation and returns ``(sim, kernels)``,
+    or ``(sim, kernels, tracer)``.  ``resumes_per_kernel`` counts
+    ``generator.send``/``throw`` calls (every process resume),
+    ``buckets_per_kernel`` the calendar buckets the run opened
+    (``Simulator.stats()``) and, given a tracer,
+    ``trace_bytes_per_kernel`` the bytes of its stored columns
+    (:meth:`~repro.sim.trace.IntervalTracer.stored_bytes`): all depend
+    only on the program, so the baseline gates them exactly.  The
+    Python function calls per layer follow the interpreter version and
+    are reported only.
     """
     import cProfile
 
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        sim, kernels = run()
+        sim, kernels, *tracer = run()
     finally:
         profiler.disable()
     resumes = 0
@@ -538,21 +551,27 @@ def count_kernel_work(run: Callable[[], Tuple[Any, int]]) -> Dict[str, Any]:
         layer = _layer(entry.code)
         calls[layer] = calls.get(layer, 0) + entry.callcount
     buckets = sim.stats()["buckets"]
-    return {
+    counted: Dict[str, Any] = {
         "kernels": kernels,
         "resumes_per_kernel": resumes / kernels,
         "buckets_per_kernel": buckets / kernels,
-        "python_calls_per_kernel": {
-            layer: count / kernels for layer, count in sorted(calls.items())
-        },
     }
+    if tracer:
+        counted["trace_bytes_per_kernel"] = tracer[0].stored_bytes() / kernels
+    counted["python_calls_per_kernel"] = {
+        layer: count / kernels for layer, count in sorted(calls.items())
+    }
+    return counted
 
 
 def bench_counters() -> Dict[str, Dict[str, Any]]:
-    """:func:`count_kernel_work` on two runs, keyed by run.
+    """:func:`count_kernel_work` on three runs, keyed by run.
 
     The ``fig16-fair@nb2`` digest run (scheduled serving on the fig16
-    profile), and one in-process Overhead-Q pair run of the profiler:
+    profile); the same workload under ``spatial`` on a
+    ``_DIGEST_STREAMS``-stream device, whose device total interleaves
+    the jobs kernel by kernel where ``fair``'s holds one job for a
+    quantum; and one in-process Overhead-Q pair run of the profiler:
     the cold build runs these on forked workers, where a parent-side
     profile cannot see them.
     """
@@ -573,11 +592,14 @@ def bench_counters() -> Dict[str, Dict[str, Any]]:
         sorted({(s.model, s.batch_size) for s in specs}), config
     )
 
-    def scheduled():
+    def scheduled(scheduler="fair", config=config):
         result = run_workload(
-            specs, scheduler="fair", config=config, profiler_output=output
+            specs, scheduler=scheduler, config=config, profiler_output=output
         )
-        return result.sim, result.server.tracer.count(GPU_GLOBAL_KEY)
+        tracer = result.server.tracer
+        return result.sim, tracer.count(GPU_GLOBAL_KEY), tracer
+
+    spatial_config = replace(config, streams=_DIGEST_STREAMS)
 
     model, batch = min((s.model, s.batch_size) for s in specs)
     store = ProfileStore()
@@ -589,10 +611,13 @@ def bench_counters() -> Dict[str, Dict[str, Any]]:
             graph, batch, _COUNTER_QUANTUM, store, 0
         )
         sim.run()
-        return sim, server.tracer.count(GPU_GLOBAL_KEY)
+        return sim, server.tracer.count(GPU_GLOBAL_KEY), server.tracer
 
     return {
         "fig16-fair@nb2": count_kernel_work(scheduled),
+        f"fig16-spatial@s{_DIGEST_STREAMS}": count_kernel_work(
+            lambda: scheduled("spatial", spatial_config)
+        ),
         f"pair:{model}/{batch}@{_COUNTER_QUANTUM * 1e3:g}ms": (
             count_kernel_work(pair)
         ),
@@ -600,7 +625,8 @@ def bench_counters() -> Dict[str, Dict[str, Any]]:
 
 
 def digest_table() -> Dict[str, str]:
-    """`trace_digest` per scheduler kind on a small complex workload."""
+    """`trace_digest` per scheduler kind on a small complex workload,
+    plus an open loop behind an admission gate and a two-GPU cluster."""
     from ..experiments.runner import (
         SCHEDULER_KINDS,
         SPATIAL_SCHEDULER_KINDS,
@@ -621,7 +647,86 @@ def digest_table() -> Dict[str, str]:
     for kind in SPATIAL_SCHEDULER_KINDS:
         result = run_workload(specs, scheduler=kind, config=spatial_config)
         table[f"{kind}@s{_DIGEST_STREAMS}"] = result.trace_digest()
+    table[f"openloop-gate@n{_OPENLOOP_ARRIVALS}"] = _openloop_digest(config)
+    table[f"fig16-fair@gpus{_DIGEST_GPUS}"] = _multigpu_digest(specs, config)
     return table
+
+
+def _openloop_digest(config: Any) -> str:
+    """Digest of an open loop overloading an admission gate.
+
+    A bursty :class:`~repro.workloads.traffic.TrafficEngine` stream
+    (the perfbench ``openloop-gate`` mix, first ``_OPENLOOP_ARRIVALS``
+    arrivals) behind ``AdmissionGate(max_active=8)`` under ``fair`` at
+    the digest table's fixed quantum.  Rejected requests never reach
+    the server's trace, so the gate's decision report is hashed too.
+    """
+    from ..experiments.runner import build_stack
+    from ..faults.determinism import trace_digest
+    from ..serving.admission import AdmissionConfig, AdmissionGate
+    from ..workloads.traffic import ModelMix, TrafficConfig, TrafficEngine, drive
+
+    engine = TrafficEngine(
+        TrafficConfig(
+            mix=(
+                ModelMix("alexnet", 16, weight=4.0, slo=0.25, priority=1),
+                ModelMix("googlenet", 16, weight=2.0, slo=0.5),
+                ModelMix("resnet_50", 8, weight=1.0, slo=1.0),
+            ),
+            tenants=200,
+            rate=70.0,
+            duration=None,
+            process="bursty",
+        ),
+        seed=_DIGEST_SEED,
+    )
+    stack = build_stack(engine.entries(), "fair", config=config)
+    gate = AdmissionGate(AdmissionConfig(max_active=8)).attach(stack.server)
+    drive(stack.sim, stack.server, engine, gate=gate, limit=_OPENLOOP_ARRIVALS)
+    stack.sim.run()
+    trace = trace_digest(stack.server, scheduler=stack.scheduler)
+    decisions = json.dumps(gate.report(), sort_keys=True)
+    return hashlib.sha256((trace + decisions).encode()).hexdigest()
+
+
+def _multigpu_digest(specs: Any, config: Any) -> str:
+    """Digest of the quick Fig 16 workload on a ``MultiGpuServer``.
+
+    ``fair`` on each of ``_DIGEST_GPUS`` workers behind least-loaded
+    placement; the workers' digests (each with its own scheduler, and
+    the shared clients) are hashed in worker order.
+    """
+    from ..experiments.runner import build_stack
+    from ..faults.determinism import trace_digest
+    from ..serving.client import Client
+
+    entries = sorted({(spec.model, spec.batch_size) for spec in specs})
+    stack = build_stack(entries, "fair", config=config, gpus=_DIGEST_GPUS)
+    clients = [
+        Client(
+            stack.sim,
+            stack.server,
+            client_id=spec.client_id,
+            model_name=spec.model,
+            batch_size=spec.batch_size,
+            num_batches=spec.num_batches,
+            weight=spec.weight,
+            priority=spec.priority,
+            think_time=spec.think_time,
+            start_delay=spec.start_delay,
+        )
+        for spec in specs
+    ]
+    for client in clients:
+        client.start()
+    stack.sim.run()
+    workers = "\n".join(
+        trace_digest(
+            worker.server, scheduler=worker.server.scheduler, clients=clients
+        )
+        for worker in stack.server.workers
+    )
+    return hashlib.sha256(workers.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -727,6 +832,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         say(
             f"kernel work        {counted['resumes_per_kernel']:.4f} resumes, "
             f"{counted['buckets_per_kernel']:.4f} buckets, "
+            f"{counted['trace_bytes_per_kernel']:.1f} trace bytes, "
             f"{sum(counted['python_calls_per_kernel'].values()):.2f} "
             f"Python calls per kernel ({run})"
         )

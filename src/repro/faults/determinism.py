@@ -8,10 +8,11 @@ digest, so two runs can be compared byte-for-byte without storing full
 traces.  Floats are rendered with :func:`repr`, which round-trips
 exactly, making the digest sensitive to any drift at all.
 
-The tracer's records dominate the hashed text, so they are read
-straight from :meth:`IntervalTracer.columns` and hashed a chunk of
-records at a time: no :class:`Interval` or per-record tuple list is
-built, and the bytes hashed are the same as one line per interval.
+The tracer's records dominate the hashed text, so they are streamed
+from :meth:`IntervalTracer.chunks` and hashed a chunk of records at a
+time: no :class:`Interval` or per-record tuple list is built, the
+device-total key's full columns are never materialised, and the bytes
+hashed are the same as one line per interval.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..serving.server import ModelServer
 
 __all__ = ["trace_digest"]
-
-# Tracer records rendered per ``hasher.update`` call.
-_CHUNK = 4096
 
 
 def _feed(hasher, text: str) -> None:
@@ -52,15 +50,11 @@ def trace_digest(
     tracer = server.tracer
     for key in sorted(tracer.keys(), key=str):
         _feed(hasher, f"key:{key!r}")
-        starts, ends, tags = tracer.columns(key)
-        for lo in range(0, len(starts), _CHUNK):
-            hi = lo + _CHUNK
+        for starts, ends, tags in tracer.chunks(key):
             hasher.update(
                 "".join(
                     f"iv:{start!r}:{end!r}:{tag!r}\n"
-                    for start, end, tag in zip(
-                        starts[lo:hi], ends[lo:hi], tags[lo:hi]
-                    )
+                    for start, end, tag in zip(starts, ends, tags)
                 ).encode("utf-8")
             )
 

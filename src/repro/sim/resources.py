@@ -213,14 +213,12 @@ class ConditionVariable:
 
         Returns the number of processes woken.  The whole gang is
         triggered through ``succeed_many`` — same wake order as
-        sequential ``succeed`` calls, one calendar operation total.
+        sequential ``succeed`` calls, one calendar operation total.  A
+        delayed wake is one timed callback, not a process.
         """
         waiters, self._waiters = self._waiters, deque()
         if wake_latency > 0.0:
-            def _wake(waiters=waiters):
-                yield self.sim.timeout(wake_latency)
-                self.sim.succeed_many(waiters)
-            self.sim.process(_wake(), name="cv-wake")
+            self.sim.call_later(wake_latency, self.sim.succeed_many, waiters)
         else:
             self.sim.succeed_many(waiters)
         return len(waiters)

@@ -151,6 +151,21 @@ class TestCountKernelWork:
         assert counted["resumes_per_kernel"] == 8 / 4
         assert counted["buckets_per_kernel"] == 4 / 4
         assert counted["python_calls_per_kernel"]["sim"] > 0
+        assert "trace_bytes_per_kernel" not in counted
+
+    def test_counts_stored_trace_bytes_given_a_tracer(self):
+        from repro.sim import IntervalTracer, Simulator
+
+        def run():
+            tracer = IntervalTracer()
+            for i in range(4):
+                tracer.record_pair(f"job{i % 2}", i, "total", i, i + 0.5)
+            return Simulator(), 4, tracer
+
+        counted = count_kernel_work(run)
+        # Each span stored once: two float64 bounds, one tag slot, and
+        # a 4-byte ordinal for the total.
+        assert counted["trace_bytes_per_kernel"] == 28.0
 
 
 class TestMicrobenchSmoke:
@@ -222,11 +237,13 @@ class TestCommittedBaseline:
     def test_counter_ceilings_cover_both_runs(self):
         counters = self.baseline()["counters"]
         assert "fig16-fair@nb2" in counters
+        assert "fig16-spatial@s4" in counters
         assert any(run.startswith("pair:") for run in counters)
         for run in counters:
             assert set(counters[run]) == {
                 "resumes_per_kernel",
                 "buckets_per_kernel",
+                "trace_bytes_per_kernel",
             }
 
     def test_every_scheduler_kind_has_a_digest(self):

@@ -226,6 +226,27 @@ class TestConditionVariable:
         sim.run()
         assert woken == [0.5]
 
+    def test_delayed_wake_is_one_timer_not_a_process(self, sim):
+        cv = ConditionVariable(sim)
+        woken = []
+
+        def waiter(tag):
+            # Exercises the bare primitive, no predicate by design.
+            yield cv.wait()  # lint: disable=CON001
+            woken.append((sim.now, tag))
+
+        for tag in range(3):
+            sim.process(waiter(tag))
+        sim.run()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a delayed wake started a process")
+
+        sim.process = no_process
+        assert cv.notify_all(wake_latency=0.5) == 3
+        sim.run()
+        assert woken == [(0.5, 0), (0.5, 1), (0.5, 2)]
+
     def test_notify_one_fifo(self, sim):
         cv = ConditionVariable(sim)
         woken = []
