@@ -13,9 +13,9 @@ that cost and gates it, so a speedup landed once cannot silently rot:
   cold profile build (empty caches, as after any source edit) timed
   separately from the scheduled runs as `profile_build_s`.
 * **Determinism table** — `trace_digest` for every scheduler kind plus
-  the Fig 16 runs, an open loop behind an admission gate and a
-  two-GPU cluster; an optimisation that changes any digest is a bug,
-  however fast.
+  the Fig 16 runs, an open loop behind an admission gate, a two-GPU
+  cluster, and the quick chaos campaign and soak; an optimisation that
+  changes any digest is a bug, however fast.
 * **Garbage collector** — CPython's cyclic-GC collections per
   generation during the Fig 16 digest runs, and the seconds spent in
   them (:class:`GcMeter`).  Report only: the counts depend on the
@@ -269,15 +269,12 @@ def bench_event_loop_bimodal(
     """Events/s with a steadily *receding* block of far-future deadlines.
 
     Every iteration schedules one fire-and-forget far timeout alongside
-    the near tick, accumulating thousands of pending far deadlines.
-    The far frontier recedes quadratically, so soon after the horizon
-    activates (window = 4x the pending-deadline midpoint) new far
-    deadlines land beyond it: the workload genuinely drives the
-    far-list insert *and* flush paths, not just a bloated near heap
-    (``tests/sim/test_differential.py`` pins this with kernel stats).
-    Without the adaptive far-list every near insert would pay
-    O(log far_block) heap traffic; with it the far inserts append to an
-    unsorted overflow list and the near heap stays small.
+    the near tick, accumulating thousands of pending far deadlines, so
+    the calendar's one heap holds tens of thousands of buckets at its
+    deepest and every near insert pays O(log depth) heap traffic.  This
+    measures the calendar at a depth no shipped workload reaches (the
+    deepest holds 63 buckets); ``tests/sim/test_differential.py``
+    checks dispatch order at this depth.
     """
     from ..sim.core import Simulator
 
@@ -626,7 +623,8 @@ def bench_counters() -> Dict[str, Dict[str, Any]]:
 
 def digest_table() -> Dict[str, str]:
     """`trace_digest` per scheduler kind on a small complex workload,
-    plus an open loop behind an admission gate and a two-GPU cluster."""
+    plus an open loop behind an admission gate, a two-GPU cluster, and
+    the quick chaos campaign and soak."""
     from ..experiments.runner import (
         SCHEDULER_KINDS,
         SPATIAL_SCHEDULER_KINDS,
@@ -649,6 +647,7 @@ def digest_table() -> Dict[str, str]:
         table[f"{kind}@s{_DIGEST_STREAMS}"] = result.trace_digest()
     table[f"openloop-gate@n{_OPENLOOP_ARRIVALS}"] = _openloop_digest(config)
     table[f"fig16-fair@gpus{_DIGEST_GPUS}"] = _multigpu_digest(specs, config)
+    table.update(_recovery_digests())
     return table
 
 
@@ -693,8 +692,9 @@ def _multigpu_digest(specs: Any, config: Any) -> str:
     """Digest of the quick Fig 16 workload on a ``MultiGpuServer``.
 
     ``fair`` on each of ``_DIGEST_GPUS`` workers behind least-loaded
-    placement; the workers' digests (each with its own scheduler, and
-    the shared clients) are hashed in worker order.
+    placement; ``trace_digest`` of the front hashes the workers'
+    digests (each with its own scheduler, and the shared clients) in
+    worker order.
     """
     from ..experiments.runner import build_stack
     from ..faults.determinism import trace_digest
@@ -720,13 +720,22 @@ def _multigpu_digest(specs: Any, config: Any) -> str:
     for client in clients:
         client.start()
     stack.sim.run()
-    workers = "\n".join(
-        trace_digest(
-            worker.server, scheduler=worker.server.scheduler, clients=clients
-        )
-        for worker in stack.server.workers
-    )
-    return hashlib.sha256(workers.encode()).hexdigest()
+    return trace_digest(stack.server, clients=clients)
+
+
+def _recovery_digests() -> Dict[str, str]:
+    """The ``repro chaos --quick --seed 0`` campaign digest and the
+    ``repro soak --quick`` soak digest (seed 0): the recovery manager,
+    the journal and its resume path, which no other entry reaches."""
+    from ..experiments.chaos import ChaosConfig, run_chaos_campaign
+    from ..experiments.soak import SoakConfig, run_soak
+
+    chaos = run_chaos_campaign(ChaosConfig.quick(seed=0))
+    soak = run_soak(SoakConfig.quick(seed=0))
+    return {
+        "chaos-quick@seed0": chaos.campaign_digest(),
+        "soak-quick@seed0": soak.soak_digest(),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -163,19 +163,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving import RetryPolicy
     from .workloads import homogeneous_workload
 
-    if args.clients < 1:
-        print(f"error: --clients must be >= 1: {args.clients}", file=sys.stderr)
-        return 2
-    if args.streams is not None and args.streams < 1:
-        print(f"error: --streams must be >= 1: {args.streams}", file=sys.stderr)
-        return 2
-    if args.oversubscription < 1.0:
-        print(
-            f"error: --oversubscription must be >= 1.0: "
-            f"{args.oversubscription}",
-            file=sys.stderr,
-        )
-        return 2
     config = ExperimentConfig(
         scale=args.scale,
         seed=args.seed,
@@ -964,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run a serving experiment")
     serve.add_argument("--model", default="inception_v4", choices=models)
     serve.add_argument("--batch", type=int, default=100)
-    serve.add_argument("--clients", type=int, default=10)
-    serve.add_argument("--batches", type=int, default=10)
+    serve.add_argument("--clients", type=_positive_int, default=10)
+    serve.add_argument("--batches", type=_positive_int, default=10)
     serve.add_argument(
         "--scheduler",
         default="fair",
@@ -979,11 +966,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=3)
     serve.add_argument("--quantum", type=float, default=None)
     serve.add_argument(
-        "--streams", type=int, default=None,
+        "--streams", type=_positive_int, default=None,
         help="GPU compute streams (spatial sharing; default: spec's 1)",
     )
     serve.add_argument(
-        "--oversubscription", type=float, default=1.0,
+        "--oversubscription", type=_at_least(float, 1.0), default=1.0,
         help="spatial-rt logical capacity factor (>= 1.0; 1.0 selects "
              "the built-in real-time default)",
     )

@@ -13,6 +13,11 @@ from :meth:`IntervalTracer.chunks` and hashed a chunk of records at a
 time: no :class:`Interval` or per-record tuple list is built, the
 device-total key's full columns are never materialised, and the bytes
 hashed are the same as one line per interval.
+
+A multi-GPU front (:class:`~repro.cluster.MultiGpuServer`) has no
+tracer of its own: its digest hashes its workers' digests in worker
+order, each over the worker's server and scheduler and the shared
+clients.
 """
 
 from __future__ import annotations
@@ -43,8 +48,23 @@ def trace_digest(
     Covers, in a canonical order: every interval recorded by the
     server's tracer (per key), every scheduling decision and closed
     tenure (when a gang scheduler is given), and every completed job's
-    identity, timing, and terminal status.
+    identity, timing, and terminal status.  A scheduler hook that logs
+    no decisions (stock TF-Serving's) hashes as no scheduler.  For a
+    front with ``workers``, ``scheduler`` is ignored: each worker's
+    digest covers its own.
     """
+    workers = getattr(server, "workers", None)
+    if workers is not None:
+        clients = None if clients is None else list(clients)
+        text = "\n".join(
+            trace_digest(
+                worker.server, scheduler=worker.server.scheduler,
+                clients=clients,
+            )
+            for worker in workers
+        )
+        return hashlib.sha256(text.encode()).hexdigest()
+
     hasher = hashlib.sha256()
 
     tracer = server.tracer
@@ -59,13 +79,13 @@ def trace_digest(
             )
 
     if scheduler is not None:
-        for decision in scheduler.decisions:
+        for decision in getattr(scheduler, "decisions", ()):
             _feed(
                 hasher,
                 f"dec:{decision.time!r}:{decision.prev_job_id!r}"
                 f":{decision.next_job_id!r}",
             )
-        for tenure in scheduler.tenures:
+        for tenure in getattr(scheduler, "tenures", ()):
             _feed(
                 hasher,
                 f"ten:{tenure.job_id}:{tenure.start!r}:{tenure.end!r}",

@@ -27,8 +27,8 @@ closure nest built once per :class:`Simulator`:
 * The calendar is a **bucketed calendar queue** — events sharing a
   deadline share one bucket, and a small heap orders buckets, so a
   same-tick batch of events costs one heap operation instead of one
-  per event (see the :mod:`repro.sim.wheel` docstring for the layout,
-  the insertion cache and its open bucket, and the adaptive far-list).
+  per event (see the :mod:`repro.sim.wheel` docstring for the layout
+  and the insertion cache and its open bucket).
 * The dominant create-fire-resume cycle recycles :class:`Timeout` and
   :class:`Event` instances — and the timed callbacks behind
   :meth:`Simulator.call_later` — through

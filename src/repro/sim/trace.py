@@ -35,9 +35,11 @@ to the run's full length, at 4 bytes a record instead of 24, and
 readers keep no index beside it.  ``columns(total)`` returns a fresh
 copy; :meth:`IntervalTracer.chunks` and the metric readers stream the
 records at C speed, one ordinal pulling the next item of its source's
-column.  Any other use of a total (a direct record under it or under
-one of its sources, a source feeding two totals) falls back to stored
-columns, so every mix of calls reads back as if each were stored.
+column.
+
+Each key keeps one role for its whole life: a ``record`` key, a
+``record_pair`` source (of one total), or a total.  A call that would
+give a key a second role raises ``ValueError`` and records nothing.
 
 The tracer's own metric readers (:meth:`IntervalTracer.duration`,
 :meth:`IntervalTracer.duration_between`,
@@ -219,65 +221,26 @@ class IntervalTracer:
     :meth:`intervals` and the metric readers are computed from the
     columns on demand and never cached.
 
-    A total key that only :meth:`record_pair` feeds keeps no columns of
-    its own: it is a view over its sources' columns, recorded as one
-    4-byte source ordinal per record.  It falls back to stored columns
-    as soon as that view would no longer read back every record
-    exactly: a direct record under the total or under one of its
-    sources, a source that feeds a second total, or a key that is both
-    a source and a total.
+    Every key has one of three roles, fixed by its first record: a
+    :meth:`record` key owns its columns; a :meth:`record_pair` source
+    owns its columns and feeds exactly one total; a total keeps no
+    columns of its own, only one 4-byte source ordinal per record, and
+    reads as a view over its sources' columns.  A call that would give
+    a key a second role (a direct record under a source or a total, a
+    source feeding a second total, a key that is both source and
+    total) raises ``ValueError`` and leaves every view unchanged.
     """
 
     def __init__(self):
-        self._open: Dict[Any, float] = {}
         # Every key, in first-record order.
         self._keys: Dict[Any, None] = {}
-        # key -> (starts, ends, tags) for keys with stored columns.
+        # Record key -> its (starts, ends, tags).
         self._columns: Dict[Any, _Columns] = {}
         # Source key -> (total key, ordinal, starts, ends, tags, total
         # order column): the record_pair fast path's one lookup.
         self._pairs: Dict[Any, tuple] = {}
-        # Derived total key -> its order column and sources.
+        # Total key -> its order column and sources.
         self._totals: Dict[Any, _Total] = {}
-
-    def begin(self, key: Any, now: float) -> None:
-        """Open an interval for ``key`` at time ``now``."""
-        if key in self._open:
-            raise ValueError(f"interval for {key!r} already open")
-        self._open[key] = now
-
-    def end(self, key: Any, now: float, tag: Any = None) -> Interval:
-        """Close the open interval for ``key`` and record it."""
-        try:
-            start = self._open.pop(key)
-        except KeyError:
-            raise ValueError(f"no open interval for {key!r}")
-        self.record(key, start, now, tag)
-        return Interval(start, now, tag)
-
-    def _stored(self, key: Any) -> _Columns:
-        """``key``'s stored columns, created (or derived ones
-        materialised) on first need."""
-        columns = self._columns.get(key)
-        if columns is not None:
-            return columns
-        pair = self._pairs.get(key)
-        if pair is not None:
-            self._materialize(pair[0])
-        elif key in self._totals:
-            self._materialize(key)
-        else:
-            self._keys[key] = None
-            self._columns[key] = (array("d"), array("d"), [])
-        return self._columns[key]
-
-    def _materialize(self, total_key: Any) -> None:
-        """Fall back to stored columns for a derived total and its sources."""
-        total = self._totals.pop(total_key)
-        self._columns[total_key] = total.materialize()
-        for key, columns in zip(total.sources, total.columns):
-            del self._pairs[key]
-            self._columns[key] = columns
 
     def record(self, key: Any, start: float, end: float, tag: Any = None) -> None:
         """Record a complete interval directly."""
@@ -288,7 +251,13 @@ class IntervalTracer:
             )
         columns = self._columns.get(key)
         if columns is None:
-            columns = self._stored(key)
+            if key in self._pairs or key in self._totals:
+                raise ValueError(
+                    f"{key!r} is recorded by record_pair; "
+                    "it takes no direct records"
+                )
+            self._keys[key] = None
+            columns = self._columns[key] = (array("d"), array("d"), [])
         starts, ends, tags = columns
         starts.append(start)
         ends.append(end)
@@ -304,7 +273,8 @@ class IntervalTracer:
         each kernel under its job (tagged with the node) and under the
         all-jobs busy key (tagged with the job) in one call.  The span
         is stored once, under ``key``; the total records only ``key``'s
-        ordinal.
+        ordinal.  ``key`` must be new or already a source of
+        ``total_key``, and ``total_key`` new or already a total.
         """
         if not start <= end:
             raise ValueError(
@@ -323,17 +293,21 @@ class IntervalTracer:
     def _record_pair_slow(
         self, key: Any, tag: Any, total_key: Any, start: float, end: float
     ) -> None:
-        """:meth:`record_pair` for a new source, or a fallback."""
+        """:meth:`record_pair` for a new source, or a total key that is
+        equal to its source's total but not the same object."""
         pair = self._pairs.get(key)
-        if pair is None and not (
-            key == total_key
-            or key in self._columns
-            or key in self._totals
-            or total_key in self._columns
-            or total_key in self._pairs
-        ):
-            # ``key`` has no other role, so it is new: it becomes a
-            # source of ``total_key``, derived or new itself.
+        if pair is None:
+            if key == total_key or key in self._columns or key in self._totals:
+                raise ValueError(
+                    f"{key!r} already has a role; it cannot become a "
+                    "record_pair source"
+                )
+            if total_key in self._columns or total_key in self._pairs:
+                raise ValueError(
+                    f"{total_key!r} already has a role; it cannot become "
+                    "a total"
+                )
+            # A new source of ``total_key``, itself new or a total.
             self._keys[key] = None
             total = self._totals.get(total_key)
             if total is None:
@@ -345,21 +319,16 @@ class IntervalTracer:
             )
             total.sources.append(key)
             total.columns.append(columns)
-        if pair is not None and pair[0] == total_key:
-            _total_key, ordinal, starts, ends, tags, order = pair
-            starts.append(start)
-            ends.append(end)
-            tags.append(tag)
-            order.append(ordinal)
-            return
-        starts, ends, tags = self._stored(key)
+        elif pair[0] != total_key:
+            raise ValueError(
+                f"{key!r} already feeds the total {pair[0]!r}; "
+                f"it cannot feed {total_key!r}"
+            )
+        _total_key, ordinal, starts, ends, tags, order = pair
         starts.append(start)
         ends.append(end)
         tags.append(tag)
-        starts, ends, tags = self._stored(total_key)
-        starts.append(start)
-        ends.append(end)
-        tags.append(key)
+        order.append(ordinal)
 
     def columns(
         self, key: Any
@@ -482,7 +451,6 @@ class IntervalTracer:
         return self.duration_between(key, lo, hi) / (hi - lo)
 
     def clear(self) -> None:
-        self._open.clear()
         self._keys.clear()
         self._columns.clear()
         self._pairs.clear()

@@ -13,7 +13,10 @@ Layout
 ------
 * ``times`` — a ``heapq`` of ``(t, seq, bucket)`` tuples.  ``seq`` is a
   monotonically increasing bucket-creation counter, so two buckets with
-  equal ``t`` pop in creation order.
+  equal ``t`` pop in creation order.  Every pending bucket, however far
+  its deadline, sits in this one heap: serving runs keep at most a few
+  dozen buckets pending, so a heap operation stays a handful of
+  comparisons.
 * insertion cache — the most recently touched ``(t, bucket)`` pair.
   Consecutive inserts at one deadline append straight to the cached
   bucket with no heap traffic.  When a bucket at ``t`` pops, the cache
@@ -25,12 +28,6 @@ Layout
   ``t`` waits, the cache is invalidated instead and such events open a
   fresh bucket, which pops after every older same-time bucket.  A
   retired bucket never stays cached.
-* ``far`` — the adaptive overflow list.  When the near heap grows past
-  a threshold, a horizon is chosen from the observed deadline spread;
-  inserts beyond it are appended (unsorted, O(1)) to ``far`` and only
-  merged into the heap when the clock approaches ``far_min``.  This
-  keeps the near heap — and every ``heappush`` — small under bimodal
-  near/far deadline mixes.
 * pools — see :mod:`repro.sim.pool`.  The dispatch loop recycles exact
   ``Timeout``/``Event`` instances whose refcount proves the program
   holds no other reference, and every dispatched timed callback
@@ -78,17 +75,9 @@ from heapq import heappop, heappush  # lint: disable=PERF002
 from sys import getrefcount
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-__all__ = ["SimKernel", "build_kernel", "FAR_HEAP_LIMIT"]
+__all__ = ["SimKernel", "build_kernel"]
 
 _INF = float("inf")
-
-# Near-heap size past which the far-list horizon activates.  Checked
-# once per popped bucket (never per event).
-FAR_HEAP_LIMIT = 2048
-
-# Once the far list drains and the near heap is back below this, the
-# horizon deactivates and the calendar runs pure-near again.
-_FAR_REARM_LIMIT = FAR_HEAP_LIMIT // 2
 
 
 class SimKernel:
@@ -142,10 +131,6 @@ def build_kernel(
     now = 0.0
     seq = 0  # bucket creation counter: same-t buckets pop in creation order
     times: List = []  # heap of (t, seq, bucket)
-    far: List = []  # overflow (t, seq, bucket) tuples beyond the horizon
-    far_min = _INF
-    horizon = _INF
-    window = 0.0
     free: List[List] = []  # retired bucket lists, reused to avoid allocs
     cache_t = -1.0  # insertion cache: time of the last bucket touched
     cache_b: Optional[List] = None
@@ -162,7 +147,7 @@ def build_kernel(
     # ------------------------------------------------------------------
 
     def insert(ev: Any, t: float) -> None:
-        nonlocal seq, cache_t, cache_b, far_min
+        nonlocal seq, cache_t, cache_b
         if t == cache_t:
             cache_b.append(ev)
             return
@@ -175,17 +160,12 @@ def build_kernel(
         cache_b = b
         s = seq
         seq = s + 1
-        if t < horizon:
-            heappush(times, (t, s, b))
-        else:
-            far.append((t, s, b))
-            if t < far_min:
-                far_min = t
+        heappush(times, (t, s, b))
 
     def schedule_now(ev: Any) -> None:
         # insert(ev, now) with the body inlined: this is the succeed()/
         # fail() path, hot enough that the nested call shows up.
-        nonlocal seq, cache_t, cache_b, far_min
+        nonlocal seq, cache_t, cache_b
         t = now
         if t == cache_t:
             cache_b.append(ev)
@@ -196,12 +176,7 @@ def build_kernel(
         cache_b = b
         s = seq
         seq = s + 1
-        if t < horizon:
-            heappush(times, (t, s, b))
-        else:
-            far.append((t, s, b))
-            if t < far_min:
-                far_min = t
+        heappush(times, (t, s, b))
 
     # The keyword-only defaults freeze never-rebound cells as argument
     # locals: LOAD_FAST instead of LOAD_DEREF on the hottest call in
@@ -213,7 +188,7 @@ def build_kernel(
         _t_pool: Any = t_pool,
         _t_pop: Any = t_pool.pop,
     ) -> Any:
-        nonlocal seq, cache_t, cache_b, far_min
+        nonlocal seq, cache_t, cache_b
         if delay < 0.0:
             raise error_t(f"negative timeout delay: {delay!r}")
         if _t_pool:
@@ -238,12 +213,7 @@ def build_kernel(
         cache_b = b
         s = seq
         seq = s + 1
-        if t < horizon:
-            heappush(times, (t, s, b))
-        else:
-            far.append((t, s, b))
-            if t < far_min:
-                far_min = t
+        heappush(times, (t, s, b))
         return ev
 
     def call_later(
@@ -257,7 +227,7 @@ def build_kernel(
         # timeout() with a callback in the waiter slot: same deadline
         # arithmetic and insertion path, so it takes exactly the
         # calendar position a timeout created here would.
-        nonlocal seq, cache_t, cache_b, far_min
+        nonlocal seq, cache_t, cache_b
         if delay < 0.0:
             raise error_t(f"negative timeout delay: {delay!r}")
         if _c_pool:
@@ -280,12 +250,7 @@ def build_kernel(
         cache_b = b
         s = seq
         seq = s + 1
-        if t < horizon:
-            heappush(times, (t, s, b))
-        else:
-            far.append((t, s, b))
-            if t < far_min:
-                far_min = t
+        heappush(times, (t, s, b))
 
     def event() -> Any:
         if e_pool:
@@ -303,7 +268,7 @@ def build_kernel(
         gang lands in one calendar bucket with a single heap operation —
         the batch-advancement fast path for same-deadline wake-ups.
         """
-        nonlocal seq, cache_t, cache_b, far_min
+        nonlocal seq, cache_t, cache_b
         evs = list(events)
         if not evs:
             return evs
@@ -344,12 +309,7 @@ def build_kernel(
         cache_b = b
         s = seq
         seq = s + 1
-        if t < horizon:
-            heappush(times, (t, s, b))
-        else:
-            far.append((t, s, b))
-            if t < far_min:
-                far_min = t
+        heappush(times, (t, s, b))
         return evs
 
     def timeout_chain(
@@ -386,51 +346,6 @@ def build_kernel(
             insert(ev, t)
             out.append(ev)
         return out
-
-    # ------------------------------------------------------------------
-    # Far-list horizon management
-    # ------------------------------------------------------------------
-
-    def _activate_far() -> None:
-        # The near heap has grown large: pick a horizon from the
-        # observed deadline spread (the raw heap array's midpoint is an
-        # order-of-magnitude estimate of the median pending deadline —
-        # exactness is irrelevant, any positive window is correct).
-        nonlocal horizon, window
-        w = (times[len(times) >> 1][0] - now) * 4.0
-        if w > 0.0:
-            window = w
-            horizon = now + w
-
-    def _flush_far() -> None:
-        # Merge far entries below the advanced horizon into the near
-        # heap.  Each entry carries its creation seq, so the merge
-        # cannot perturb same-time ordering.  Entries at ``far_min``
-        # itself always merge, even when float64 rounding absorbs the
-        # window (``far_min + window == far_min`` for a tiny window
-        # against a huge deadline): the strict ``< target`` test alone
-        # would then merge nothing and the run loop would never
-        # advance.  Taking the minimum guarantees forward progress —
-        # every flush shrinks ``far`` by at least one entry.
-        nonlocal far, far_min, horizon, window
-        target = far_min + window if window > 0.0 else _INF
-        fmin = far_min
-        keep = []
-        kmin = _INF
-        for entry in far:
-            t = entry[0]
-            if t < target or t <= fmin:
-                heappush(times, entry)
-            else:
-                keep.append(entry)
-                if t < kmin:
-                    kmin = t
-        far = keep
-        far_min = kmin
-        horizon = target
-        if not keep and len(times) <= _FAR_REARM_LIMIT:
-            horizon = _INF
-            window = 0.0
 
     # ------------------------------------------------------------------
     # Dispatch: process resume (cold, full-fidelity path)
@@ -563,7 +478,7 @@ def build_kernel(
         # Hot-loop locals: every name below is read per event (or per
         # bucket) and never rebound, so LOAD_FAST replaces LOAD_DEREF /
         # LOAD_GLOBAL for the duration of the run.  The mutable cells
-        # (now, cache_t, far, horizon, active_proc) stay nonlocal.
+        # (now, cache_t, cache_b, active_proc) stay nonlocal.
         times_l = times
         free_l = free
         t_pool_l = t_pool
@@ -583,27 +498,17 @@ def build_kernel(
         try:
             while True:
                 if not times_l:
-                    if far:
-                        _flush_far()
-                        continue
                     break
-                # Pop eagerly: the two early-exit cases below are rare
-                # (once per flush, once per bounded run), so pushing
-                # the bucket back then is cheaper than peeking the heap
-                # top before every pop.
+                # Pop eagerly: the early exit below is rare (once per
+                # bounded run), so pushing the bucket back then is
+                # cheaper than peeking the heap top before every pop.
                 tup = pop(times_l)
                 t = tup[0]
-                if far_min <= t:
-                    push(times_l, tup)
-                    _flush_far()
-                    continue
                 if t > limit:
                     push(times_l, tup)
                     now = until
                     sim_l.now = until
                     return
-                if len(times_l) > FAR_HEAP_LIMIT and horizon == _INF:
-                    _activate_far()
                 b = tup[2]
                 now = t
                 sim_l.now = t
@@ -743,14 +648,12 @@ def build_kernel(
             cache_t = -1.0
 
     def queue_empty() -> bool:
-        return cursor_b is None and not times and not far
+        return cursor_b is None and not times
 
     def step() -> None:
         nonlocal now, cache_t, cache_b, cursor_b, cursor_i
         b = cursor_b
         if b is None:
-            if far and (not times or far_min <= times[0][0]):
-                _flush_far()
             if not times:
                 raise error_t("step() on an empty event queue")
             tup = heappop(times)
@@ -784,10 +687,7 @@ def build_kernel(
         if cursor_b is not None:
             # Remaining events in the open bucket fire at the current time.
             return now
-        if times:
-            t = times[0][0]
-            return far_min if far_min < t else t
-        return far_min if far else _INF
+        return times[0][0] if times else _INF
 
     def run_guarded(until: Optional[float], max_steps: int) -> None:
         nonlocal now
@@ -839,9 +739,7 @@ def build_kernel(
             # Buckets ever opened: one heap entry each, the calendar's
             # unit of cost.
             "buckets": seq,
-            "near_buckets": len(times),
-            "far_buckets": len(far),
-            "horizon": horizon,
+            "pending_buckets": len(times),
             "free_buckets": len(free),
             "cursor_open": cursor_b is not None,
         }

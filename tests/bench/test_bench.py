@@ -246,6 +246,11 @@ class TestCommittedBaseline:
                 "trace_bytes_per_kernel",
             }
 
+    def test_recovery_runs_have_digests(self):
+        digests = self.baseline()["digests"]
+        for run in ("chaos-quick@seed0", "soak-quick@seed0"):
+            assert len(digests[run]) == 64
+
     def test_every_scheduler_kind_has_a_digest(self):
         from repro.experiments.runner import SCHEDULER_KINDS
 

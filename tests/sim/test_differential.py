@@ -11,8 +11,8 @@ mismatch, not a tolerance question).
 
 Each generator stresses a specific kernel risk surface:
 
-* mixed same-tick / far-future timeouts — bucket tie-breaking and the
-  far-list migration;
+* mixed same-tick / far-future timeouts — bucket tie-breaking, and a
+  calendar tens of thousands of buckets deep;
 * interrupts (including interrupt-before-start and same-tick double
   interrupts) — the identity resume guard and detach rules;
 * AnyOf/AllOf over shared events plus failures — the combinator
@@ -55,7 +55,8 @@ def run_pair(build, seed, until=None):
 
 def build_timeout_storm(sim, rng, trace):
     # A few shared delay values force same-tick collisions across
-    # processes; the occasional huge delay exercises the far-list.
+    # processes; the occasional huge delay leaves a deadline far behind
+    # the near ticks.
     palette = [0.0, 1e-6, 1e-6, 2e-6, 5e-6, 1e-3, 75.0]
 
     def worker(wid, steps):
@@ -290,71 +291,107 @@ def test_resource_churn_matches_reference(seed):
 
 
 # ----------------------------------------------------------------------
-# Far-list pathologies and batch-trigger contracts
+# Deep calendars and batch-trigger contracts
 # ----------------------------------------------------------------------
 
-def _build_tiny_window_huge_deadline(sim):
-    # >FAR_HEAP_LIMIT near buckets at microsecond spacing force the
-    # horizon to activate with a tiny window (~4x the pending-deadline
-    # midpoint, well under a millisecond); the 1e15 deadline scheduled
-    # after activation lands in the far list with far_min so large that
-    # float64 absorbs the window: far_min + window == far_min.
+BIMODAL_PROCS = 10
+BIMODAL_FAR_PER_PROC = 5000
+
+
+def build_bimodal_depth(sim, rng, trace):
+    """The bimodal event-loop bench's shape, observed.
+
+    Each near tick leaves one far deadline behind, and the far frontier
+    recedes quadratically, so tens of thousands of buckets are pending
+    at the deepest point.  Every insertion draws a ticket from one
+    counter and every dispatch logs ``(now, ticket)``: dispatch order
+    is ``(deadline, insertion)`` order exactly when the log is sorted.
+    """
+    tickets = itertools.count()
+
+    def observe(ticket):
+        trace.append((sim.now, ticket))
+
+    def mixed(n, jitter):
+        for i in range(n):
+            sim.call_later(
+                50.0 + i * i * 1e-3 + jitter, observe, next(tickets)
+            )
+            observe((yield sim.timeout(1e-6, value=next(tickets))))
+
+    for p in range(BIMODAL_PROCS):
+        sim.process(
+            mixed(BIMODAL_FAR_PER_PROC, rng.random() * 1e-6),
+            name=f"mixed-{p}",
+        )
+
+
+def test_deep_bimodal_calendar_matches_reference():
+    trace = run_pair(build_bimodal_depth, 0)[:-1]
+    assert len(trace) == 2 * BIMODAL_PROCS * BIMODAL_FAR_PER_PROC
+    assert trace == sorted(trace)
+
+
+def test_deep_bimodal_calendar_step_and_peek_agree():
+    # Driven one step at a time, each step dispatches at the time peek()
+    # announced, in the order run() dispatches; the calendar gets deeper
+    # than 2,048 pending buckets on the way.
+    sim = Simulator()
+    stepped = []
+    build_bimodal_depth(sim, random.Random(0), stepped)
+    deepest = 0
+    while sim.peek() != float("inf"):
+        due = sim.peek()
+        sim.step()
+        assert sim.now == due
+        deepest = max(deepest, sim.stats()["pending_buckets"])
+    assert deepest > 2048
+    ran = []
+    sim = Simulator()
+    build_bimodal_depth(sim, random.Random(0), ran)
+    sim.run()
+    assert stepped == ran
+
+
+def _build_huge_deadline_behind_dense_block(sim, trace):
+    # 2,500 buckets at microsecond spacing, then a deadline near 1e15
+    # scheduled from inside the block (float64 spacing there is 0.125,
+    # coarser than the whole block).
+    def log(_value):
+        trace.append(sim.now)
+
     def driver():
         yield sim.timeout(0.5e-6)
-        sim.timeout(1e15)
+        sim.call_later(1e15, log)
 
     for i in range(2500):
-        sim.timeout(1e-6 * (i + 1))
+        sim.call_later(1e-6 * (i + 1), log)
     sim.process(driver(), name="far-driver")
 
 
 @pytest.mark.parametrize("runner", ["run", "run_reference"])
-def test_far_flush_progresses_when_window_absorbed(runner):
-    # Regression: _flush_far with a rounding-absorbed window used to
-    # merge nothing — run() spun forever and step()/run_reference
-    # raised "empty event queue" with the far event still pending.
+def test_huge_deadline_behind_dense_block_dispatches_in_order(runner):
     sim = Simulator()
-    _build_tiny_window_huge_deadline(sim)
+    trace = []
+    _build_huge_deadline_behind_dense_block(sim, trace)
     getattr(sim, runner)()
-    assert sim.now == 1e15
+    assert len(trace) == 2501
+    assert trace == sorted(trace)
+    assert sim.now == trace[-1] == 1e15
     assert sim.peek() == float("inf")
 
 
-def test_far_flush_progresses_under_step():
+def test_huge_deadline_behind_dense_block_under_step():
     sim = Simulator()
-    _build_tiny_window_huge_deadline(sim)
+    trace = []
+    _build_huge_deadline_behind_dense_block(sim, trace)
     steps = 0
     while sim.peek() != float("inf"):
         sim.step()
         steps += 1
         assert steps < 10000
-    assert sim.now == 1e15
-
-
-def test_bimodal_workload_populates_far_list():
-    # The bimodal bench exists to exercise the far list; pin that the
-    # workload shape actually does (a linear far spread stays inside
-    # the 4x-midpoint horizon and never populates it).
-    sim = Simulator()
-    peak = [0]
-
-    def mixed(n, jitter):
-        for i in range(n):
-            sim.timeout(50.0 + i * i * 1e-3 + jitter)
-            yield sim.timeout(1e-6)
-
-    def probe(n):
-        for _ in range(n):
-            yield sim.timeout(1e-6)
-            far = sim._kernel.stats()["far_buckets"]
-            if far > peak[0]:
-                peak[0] = far
-
-    for p in range(10):
-        sim.process(mixed(500, p * 1e-6), name=f"mixed-{p}")
-    sim.process(probe(500), name="probe")
-    sim.run()
-    assert peak[0] > 0
+    assert trace == sorted(trace)
+    assert sim.now == trace[-1] == 1e15
 
 
 def test_succeed_many_rejects_duplicate_events():

@@ -79,24 +79,6 @@ class TestUnionMath:
 
 
 class TestIntervalTracer:
-    def test_begin_end_records(self):
-        tracer = IntervalTracer()
-        tracer.begin("job", 1.0)
-        interval = tracer.end("job", 3.0, tag="n1")
-        assert interval.duration == 2.0
-        assert tracer.duration("job") == 2.0
-
-    def test_double_begin_raises(self):
-        tracer = IntervalTracer()
-        tracer.begin("job", 0.0)
-        with pytest.raises(ValueError):
-            tracer.begin("job", 1.0)
-
-    def test_end_without_begin_raises(self):
-        tracer = IntervalTracer()
-        with pytest.raises(ValueError):
-            tracer.end("job", 1.0)
-
     def test_record_direct(self):
         tracer = IntervalTracer()
         tracer.record("a", 0.0, 1.0)
@@ -136,13 +118,13 @@ class TestIntervalTracer:
     def test_columns_are_index_aligned(self):
         tracer = IntervalTracer()
         tracer.record_pair("job", 7, "total", 0.0, 1.0)
-        tracer.record("job", 2.0, 3.0, tag=8)
+        tracer.record_pair("job", 8, "total", 2.0, 3.0)
         starts, ends, tags = tracer.columns("job")
         assert list(starts) == [0.0, 2.0]
         assert list(ends) == [1.0, 3.0]
         assert list(tags) == [7, 8]
         assert [list(c) for c in tracer.columns("total")] == [
-            [0.0], [1.0], ["job"]
+            [0.0, 2.0], [1.0, 3.0], ["job", "job"]
         ]
         assert [list(c) for c in tracer.columns("missing")] == [[], [], []]
 
@@ -175,14 +157,6 @@ class TestNanSpansRejected:
         with pytest.raises(ValueError):
             tracer.record_pair("job", 0, "total", start, end)
         assert tracer.keys() == []
-
-    @pytest.mark.parametrize("start, end", BOUNDS)
-    def test_end(self, start, end):
-        tracer = IntervalTracer()
-        tracer.begin("a", start)
-        with pytest.raises(ValueError):
-            tracer.end("a", end)
-        assert tracer.count("a") == 0
 
 
 class TestTracerAllocations:
@@ -256,36 +230,37 @@ def reference_clip(spans, lo, hi):
 
 
 class ReferenceTracer:
-    """The tuple-list tracer the columnar one replaced, as an oracle."""
+    """The tuple-list tracer the columnar one replaced, as an oracle,
+    with the one-role-per-key rule checked before anything is stored."""
 
     def __init__(self):
-        self.open = {}
+        self.roles = {}
         self.raw = {}
-
-    def begin(self, key, now):
-        if key in self.open:
-            raise ValueError(key)
-        self.open[key] = now
-
-    def end(self, key, now, tag=None):
-        try:
-            start = self.open.pop(key)
-        except KeyError:
-            raise ValueError(key)
-        self.record(key, start, now, tag)
-        return Interval(start, now, tag)
 
     def record(self, key, start, end, tag=None):
         if not start <= end:
             raise ValueError(key)
+        if self.roles.setdefault(key, "record") != "record":
+            raise ValueError(key)
         self.raw.setdefault(key, []).append((start, end, tag))
 
     def record_pair(self, key, tag, total_key, start, end):
-        self.record(key, start, end, tag)
-        self.record(total_key, start, end, key)
+        if not start <= end:
+            raise ValueError(key)
+        source = ("source", total_key)
+        if (
+            key == total_key
+            or self.roles.get(key, source) != source
+            or self.roles.get(total_key, "total") != "total"
+        ):
+            raise ValueError(key)
+        self.roles[key] = source
+        self.roles[total_key] = "total"
+        self.raw.setdefault(key, []).append((start, end, tag))
+        self.raw.setdefault(total_key, []).append((start, end, key))
 
     def clear(self):
-        self.open.clear()
+        self.roles.clear()
         self.raw.clear()
 
     def views(self, lo, hi):
@@ -331,8 +306,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("record"), _KEYS, _TIMES, _TIMES, st.integers(0, 3)),
         st.tuples(st.just("record_pair"), _KEYS, _KEYS, _TIMES, _TIMES, st.integers(0, 3)),
-        st.tuples(st.just("begin"), _KEYS, _TIMES),
-        st.tuples(st.just("end"), _KEYS, _TIMES, st.integers(0, 3)),
         st.tuples(st.just("clear")),
     ),
     max_size=60,
@@ -348,11 +321,6 @@ def _apply(tracer, op):
         if name == "record_pair":
             key, total, a, b, tag = args
             return ("ok", tracer.record_pair(key, tag, total, a, b))
-        if name == "begin":
-            return ("ok", tracer.begin(*args))
-        if name == "end":
-            key, now, tag = args
-            return ("ok", tracer.end(key, now, tag))
         return ("ok", tracer.clear())
     except ValueError:
         return ("ValueError", None)

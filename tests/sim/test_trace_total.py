@@ -5,9 +5,10 @@ key, and files only the source's ordinal for the total key; every
 reader derives the total's records from the sources' columns.  These
 tests pin that every view of every key equals, bit for bit, what a
 tracer that stores each span under both keys returns: on a serial run
-(a start-ordered total), on a 4-stream spatial run (an overlapping,
-unordered total), and on mixed ``record``/``record_pair`` sequences
-that force the fallback to stored columns.
+(a start-ordered total) and on a 4-stream spatial run (an overlapping,
+unordered total).  Each key keeps one role, so a call that would mix
+``record`` and ``record_pair`` roles on a key must be refused and leave
+every view as it was.
 """
 
 import tracemalloc
@@ -125,46 +126,48 @@ class TestRunsMatchStoreTwice:
         )
 
 
-# Each sequence breaks the derived view a different way; the tracer
-# must fall back to stored columns and still read back exactly.
-FALLBACKS = {
-    "direct record into the total": [
-        ("pair", "a", 0, "T", 0.0, 1.0),
-        ("pair", "b", 1, "T", 0.5, 2.0),
+# Each case gives a key a second role a different way: the records
+# before it, the call that mixes roles, and calls that stay valid after.
+MIXES = {
+    "direct record into the total": (
+        [("pair", "a", 0, "T", 0.0, 1.0), ("pair", "b", 1, "T", 0.5, 2.0)],
         ("record", "T", 3.0, 4.0, "x"),
-        ("pair", "a", 2, "T", 5.0, 6.0),
-    ],
-    "direct record into a source": [
-        ("pair", "a", 0, "T", 0.0, 1.0),
+        [("pair", "a", 2, "T", 5.0, 6.0)],
+    ),
+    "direct record into a source": (
+        [("pair", "a", 0, "T", 0.0, 1.0)],
         ("record", "a", 1.0, 1.5, "x"),
-        ("pair", "a", 1, "T", 2.0, 3.0),
-        ("pair", "b", 1, "T", 2.5, 3.0),
-    ],
-    "a source feeding two totals": [
-        ("pair", "a", 0, "T", 0.0, 1.0),
-        ("pair", "b", 0, "U", 0.0, 2.0),
+        [("pair", "a", 1, "T", 2.0, 3.0), ("pair", "b", 1, "T", 2.5, 3.0)],
+    ),
+    "a source feeding two totals": (
+        [("pair", "a", 0, "T", 0.0, 1.0), ("pair", "b", 0, "U", 0.0, 2.0)],
         ("pair", "a", 1, "U", 1.0, 3.0),
-        ("pair", "b", 1, "T", 3.0, 4.0),
-    ],
-    "a total that is also a source": [
-        ("pair", "a", 0, "T", 0.0, 1.0),
+        [("pair", "a", 1, "T", 3.0, 4.0)],
+    ),
+    "a total that is also a source": (
+        [("pair", "a", 0, "T", 0.0, 1.0)],
         ("pair", "T", 0, "U", 1.0, 2.0),
-        ("pair", "a", 1, "T", 2.0, 3.0),
-    ],
-    "a source that is also a total": [
-        ("pair", "a", 0, "T", 0.0, 1.0),
+        [("pair", "a", 1, "T", 2.0, 3.0)],
+    ),
+    "a source that is also a total": (
+        [("pair", "a", 0, "T", 0.0, 1.0)],
         ("pair", "b", 0, "a", 1.0, 2.0),
-        ("pair", "a", 1, "T", 2.0, 3.0),
-    ],
-    "a key paired with itself": [
+        [("pair", "a", 1, "T", 2.0, 3.0)],
+    ),
+    "a key paired with itself": (
+        [],
         ("pair", "a", 0, "a", 0.0, 1.0),
-        ("pair", "a", 1, "T", 2.0, 3.0),
-    ],
-    "a record before the first pair": [
-        ("record", "T", 0.0, 1.0, None),
+        [("pair", "a", 1, "T", 2.0, 3.0)],
+    ),
+    "a record before the first pair": (
+        [("record", "T", 0.0, 1.0, None)],
         ("pair", "a", 0, "T", 0.5, 2.0),
-    ],
+        [("record", "T", 1.5, 2.5, None)],
+    ),
 }
+
+# Every key the cases name, so a view of a refused key is checked too.
+MIXED_KEYS = ["T", "U", "a", "b"]
 
 
 def replay(tracer, ops):
@@ -177,14 +180,26 @@ def replay(tracer, ops):
             tracer.record(key, start, end, tag)
 
 
-@pytest.mark.parametrize("name", sorted(FALLBACKS))
-def test_fallback_matches_store_twice(name):
+@pytest.mark.parametrize("name", sorted(MIXES))
+def test_mixing_roles_raises_and_changes_nothing(name):
+    before, mixing, after = MIXES[name]
     tracer, reference = IntervalTracer(), StoreTwice()
-    replay(tracer, FALLBACKS[name])
-    replay(reference, FALLBACKS[name])
-    assert_same_views(tracer, reference)
-    # Fallen back: every total is stored, as in the reference.
-    assert tracer.stored_bytes() == reference.stored_bytes()
+    replay(tracer, before)
+    replay(reference, before)
+    lo_hi = windows(reference)
+    seen = views(tracer, MIXED_KEYS, lo_hi)
+    stored = tracer.stored_bytes()
+    with pytest.raises(ValueError):
+        replay(tracer, [mixing])
+    assert views(tracer, MIXED_KEYS, lo_hi) == seen
+    assert tracer.stored_bytes() == stored
+    # The tracer stays usable: valid calls still read back exactly.
+    replay(tracer, after)
+    replay(reference, after)
+    lo_hi = windows(reference)
+    assert views(tracer, MIXED_KEYS, lo_hi) == views(
+        reference, MIXED_KEYS, lo_hi
+    )
 
 
 def test_starts_going_back_across_runs_take_the_sort_path():

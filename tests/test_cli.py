@@ -273,28 +273,35 @@ class TestServeSpatial:
         assert code == 0
 
     def test_zero_streams_rejected(self, capsys):
-        code = main([
-            "serve", "--scheduler", "spatial", "--streams", "0",
-            "--clients", "2", "--batches", "1", "--scale", "0.02",
-        ])
-        assert code == 2
-        assert "--streams" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", "--scheduler", "spatial", "--streams", "0",
+                "--clients", "2", "--batches", "1", "--scale", "0.02",
+            ])
+        assert exit_info.value.code == 2
+        assert "error: argument --streams: must be >= 1: 0" in (
+            capsys.readouterr().err
+        )
 
     def test_negative_streams_rejected(self, capsys):
-        code = main([
-            "serve", "--streams", "-4",
-            "--clients", "2", "--batches", "1", "--scale", "0.02",
-        ])
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", "--streams", "-4",
+                "--clients", "2", "--batches", "1", "--scale", "0.02",
+            ])
+        assert exit_info.value.code == 2
 
     def test_undersubscription_rejected(self, capsys):
-        code = main([
-            "serve", "--scheduler", "spatial-rt", "--streams", "2",
-            "--oversubscription", "0.5",
-            "--clients", "2", "--batches", "1", "--scale", "0.02",
-        ])
-        assert code == 2
-        assert "--oversubscription" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", "--scheduler", "spatial-rt", "--streams", "2",
+                "--oversubscription", "0.5",
+                "--clients", "2", "--batches", "1", "--scale", "0.02",
+            ])
+        assert exit_info.value.code == 2
+        assert "error: argument --oversubscription: must be >= 1.0: 0.5" in (
+            capsys.readouterr().err
+        )
 
     def test_unknown_scheduler_still_rejected(self):
         with pytest.raises(SystemExit):
@@ -394,9 +401,11 @@ class TestCountFlags:
         assert "error: argument --gpus: must be >= 1: 0" in capsys.readouterr().err
 
     def test_serve_zero_clients_rejected(self, capsys):
-        assert main(["serve", "--clients", "0"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--clients", "0"])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "error: --clients must be >= 1: 0" in err
+        assert "error: argument --clients: must be >= 1: 0" in err
         assert "Overhead-Q" not in err
 
 
@@ -428,6 +437,10 @@ class TestBadServeInputs:
         "serve-negative-retries": (
             ["serve", *SMALL, "--retries", "-1"],
             "argument --retries: must be >= 0: -1",
+        ),
+        "serve-zero-batches": (
+            ["serve", "--clients", "1", "--batches", "0"],
+            "argument --batches: must be >= 1: 0",
         ),
     }
 
