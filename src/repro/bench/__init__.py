@@ -38,6 +38,12 @@ that cost and gates it, so a speedup landed once cannot silently rot:
   Deterministic, so the baseline's ``counters`` section holds exact
   ceilings; Python calls per layer ride along, reported only (they
   follow the interpreter).
+* **Bytecodes per kernel** — the CPython bytecodes each ``repro``
+  layer executes per kernel over a window of each counter run
+  (:func:`bench_bytecodes`).  Exact on one interpreter, so the
+  baseline's ``bytecodes`` section holds per-layer ceilings, gated
+  only on the CPython version that recorded them; a rise names the run
+  and the layer.
 
 ``bench`` writes ``BENCH_current.json``; ``bench --check`` compares it
 against the committed ``BENCH_BASELINE.json`` (pre-optimisation
@@ -63,6 +69,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -77,7 +84,9 @@ __all__ = [
     "blame_profile",
     "check_against_baseline",
     "count_kernel_work",
+    "count_bytecodes",
     "bench_counters",
+    "bench_bytecodes",
     "GcMeter",
     "import_floor",
     "main",
@@ -561,11 +570,99 @@ def count_kernel_work(run: Callable[[], Tuple[Any, ...]]) -> Dict[str, Any]:
     return counted
 
 
-def bench_counters() -> Dict[str, Dict[str, Any]]:
-    """:func:`count_kernel_work` on three runs, keyed by run.
+def _opcode_counts(run: Callable[[], Any]) -> Dict[Any, int]:
+    """Opcodes each code object executes during ``run()``.
 
-    The ``fig16-fair@nb2`` digest run (scheduled serving on the fig16
-    profile); the same workload under ``spatial`` on a
+    Every frame entered (a generator resumed too) is traced with
+    per-opcode events (``f_trace_opcodes``) and no line events; each
+    code object gets its own counting closure, so the per-opcode
+    callback is one list increment.  The previous trace function comes
+    back afterwards.
+    """
+    cells: Dict[Any, List[int]] = {}
+    tracers: Dict[Any, Callable] = {}
+
+    def on_call(frame: Any, event: str, arg: Any) -> Any:
+        code = frame.f_code
+        local = tracers.get(code)
+        if local is None:
+            cell = cells[code] = [0]
+
+            def local(frame: Any, event: str, arg: Any) -> Any:
+                if event == "opcode":
+                    cell[0] += 1
+                return local
+
+            tracers[code] = local
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    # Garbage left by earlier work in this process must not be
+    # collected, and any finaliser it has run, inside the window:
+    # collect it first, and keep the collector off while counting.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+        if enabled:
+            gc.enable()
+    return {code: cell[0] for code, cell in cells.items()}
+
+
+def count_bytecodes(
+    sim: Any, kernels: Callable[[], int], start: float, stop: float
+) -> Dict[str, Any]:
+    """CPython bytecodes per executed kernel, by layer, over a window.
+
+    Runs ``sim`` untraced to simulated time ``start`` (graph compiles
+    and the first sessions happen there), then to ``stop`` with every
+    executed opcode counted (:func:`_opcode_counts`), and divides each
+    layer's count (:func:`_layer`) by the kernels the window executed
+    (``kernels()`` before and after).  Tracing costs a Python call per
+    opcode, so the window is kept to a few thousand kernels.  The
+    counts are exact and repeatable on one interpreter, and differ
+    between CPython versions.
+    """
+    sim.run(until=start)
+    before = kernels()
+    counts = _opcode_counts(partial(sim.run, until=stop))
+    executed = kernels() - before
+    layers: Dict[str, int] = {}
+    for code, count in counts.items():
+        layer = _layer(code)
+        layers[layer] = layers.get(layer, 0) + count
+    return {
+        "kernels": executed,
+        "per_kernel": {
+            layer: count / executed for layer, count in sorted(layers.items())
+        },
+    }
+
+
+# Simulated-time windows ``(start, stop)`` of the bytecode counts, per
+# counter run: about 2,000 kernels each, after the first sessions.
+_BYTECODE_WINDOWS = {
+    "fig16-fair@nb2": (0.2, 0.32),
+    f"fig16-spatial@s{_DIGEST_STREAMS}": (0.1, 0.14),
+    "pair": (0.1, 0.2),
+}
+
+
+def _counter_runs() -> Dict[str, Tuple[Callable, Callable]]:
+    """The three counter runs, keyed by name: ``(run, window)`` each.
+
+    ``run()`` executes the whole run for :func:`count_kernel_work`.
+    ``window()`` builds a fresh copy, not yet run, and returns the
+    arguments of :func:`count_bytecodes` for it.
+
+    The runs are the ``fig16-fair@nb2`` digest run (scheduled serving
+    on the fig16 profile); the same workload under ``spatial`` on a
     ``_DIGEST_STREAMS``-stream device, whose device total interleaves
     the jobs kernel by kernel where ``fair``'s holds one job for a
     quantum; and one in-process Overhead-Q pair run of the profiler:
@@ -575,26 +672,48 @@ def bench_counters() -> Dict[str, Dict[str, Any]]:
     from ..core.accounting import ProfileStore
     from ..experiments.runner import (
         ExperimentConfig,
+        build_stack,
         get_graph,
         get_profiler_output,
         offline_profiler,
         run_workload,
     )
     from ..gpu import GPU_GLOBAL_KEY
+    from ..serving.client import Client
     from ..workloads.scenarios import complex_workload
 
     specs = complex_workload(num_batches=2)
     config = ExperimentConfig(seed=3, tolerance=0.02)
-    output = get_profiler_output(
-        sorted({(s.model, s.batch_size) for s in specs}), config
-    )
+    entries = sorted({(s.model, s.batch_size) for s in specs})
+    output = get_profiler_output(entries, config)
 
-    def scheduled(scheduler="fair", config=config):
+    def scheduled(scheduler, config):
         result = run_workload(
             specs, scheduler=scheduler, config=config, profiler_output=output
         )
         tracer = result.server.tracer
         return result.sim, tracer.count(GPU_GLOBAL_KEY), tracer
+
+    def scheduled_window(scheduler, config, run):
+        # ``run_workload``'s stack and clients, before its ``sim.run()``.
+        stack = build_stack(
+            entries, scheduler=scheduler, config=config, profiler_output=output
+        )
+        for spec in specs:
+            Client(
+                stack.sim,
+                stack.server,
+                client_id=spec.client_id,
+                model_name=spec.model,
+                batch_size=spec.batch_size,
+                num_batches=spec.num_batches,
+                weight=spec.weight,
+                priority=spec.priority,
+                think_time=spec.think_time,
+                start_delay=spec.start_delay,
+            ).start()
+        kernels = partial(stack.server.tracer.count, GPU_GLOBAL_KEY)
+        return (stack.sim, kernels, *_BYTECODE_WINDOWS[run])
 
     spatial_config = replace(config, streams=_DIGEST_STREAMS)
 
@@ -603,21 +722,65 @@ def bench_counters() -> Dict[str, Dict[str, Any]]:
     store.add(output.store.lookup(model, batch))
     graph = get_graph(model, config.scale, config.graph_seed)
 
-    def pair():
+    def pair_stack():
         sim, server, _ = offline_profiler(config)._pair_stack(
             graph, batch, _COUNTER_QUANTUM, store, 0
         )
-        sim.run()
-        return sim, server.tracer.count(GPU_GLOBAL_KEY), server.tracer
+        return sim, server.tracer
 
+    def pair():
+        sim, tracer = pair_stack()
+        sim.run()
+        return sim, tracer.count(GPU_GLOBAL_KEY), tracer
+
+    def pair_window():
+        sim, tracer = pair_stack()
+        kernels = partial(tracer.count, GPU_GLOBAL_KEY)
+        return (sim, kernels, *_BYTECODE_WINDOWS["pair"])
+
+    fair_run = "fig16-fair@nb2"
+    spatial_run = f"fig16-spatial@s{_DIGEST_STREAMS}"
     return {
-        "fig16-fair@nb2": count_kernel_work(scheduled),
-        f"fig16-spatial@s{_DIGEST_STREAMS}": count_kernel_work(
-            lambda: scheduled("spatial", spatial_config)
+        fair_run: (
+            partial(scheduled, "fair", config),
+            partial(scheduled_window, "fair", config, fair_run),
+        ),
+        spatial_run: (
+            partial(scheduled, "spatial", spatial_config),
+            partial(scheduled_window, "spatial", spatial_config, spatial_run),
         ),
         f"pair:{model}/{batch}@{_COUNTER_QUANTUM * 1e3:g}ms": (
-            count_kernel_work(pair)
+            pair,
+            pair_window,
         ),
+    }
+
+
+def bench_counters(
+    runs: Optional[Dict[str, Tuple[Callable, Callable]]] = None,
+) -> Dict[str, Dict[str, Any]]:
+    """:func:`count_kernel_work` on the three counter runs, keyed by run
+    (see :func:`_counter_runs`)."""
+    runs = _counter_runs() if runs is None else runs
+    return {name: count_kernel_work(run) for name, (run, _) in runs.items()}
+
+
+def bench_bytecodes(
+    runs: Optional[Dict[str, Tuple[Callable, Callable]]] = None,
+) -> Dict[str, Any]:
+    """:func:`count_bytecodes` on a window of each counter run.
+
+    ``python`` names the interpreter (``major.minor``): bytecode counts
+    are exact on one CPython version and differ between versions, so
+    ``--check`` gates them only against a baseline recorded on the
+    same one.
+    """
+    runs = _counter_runs() if runs is None else runs
+    return {
+        "python": ".".join(map(str, sys.version_info[:2])),
+        "runs": {
+            name: count_bytecodes(*window()) for name, (_, window) in runs.items()
+        },
     }
 
 
@@ -836,7 +999,8 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         f"({off_s:.3f} s off -> {on_s:.3f} s full, {events:,} events; "
         f"{telemetry_ratio:.2f} x, report only)"
     )
-    counters = bench_counters()
+    runs = _counter_runs()
+    counters = bench_counters(runs)
     for run, counted in counters.items():
         say(
             f"kernel work        {counted['resumes_per_kernel']:.4f} resumes, "
@@ -844,6 +1008,19 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
             f"{counted['trace_bytes_per_kernel']:.1f} trace bytes, "
             f"{sum(counted['python_calls_per_kernel'].values()):.2f} "
             f"Python calls per kernel ({run})"
+        )
+    bytecodes = bench_bytecodes(runs)
+    for run, counted in bytecodes["runs"].items():
+        layers = counted["per_kernel"]
+        top = ", ".join(
+            f"{layer} {value:.1f}"
+            for layer, value in sorted(layers.items(), key=lambda kv: -kv[1])
+            if value >= 1.0
+        )
+        say(
+            f"bytecodes          {sum(layers.values()):.1f} per kernel "
+            f"({top}; {run}, {counted['kernels']} kernels, "
+            f"CPython {bytecodes['python']})"
         )
     memory = import_floor()
     say(
@@ -879,6 +1056,7 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> Dict[str, Any]:
         },
         "digests": digests,
         "counters": counters,
+        "bytecodes": bytecodes,
         # Report only: collection counts follow the CPython version,
         # RSS the host and the Python build.
         "gc": fig_gc,
@@ -1013,7 +1191,9 @@ def check_against_baseline(
     ``profile_build_s``, timed on forked workers whose count follows
     the host — are informational.  Digests must match exactly wherever
     both sides define them, and every per-kernel counter in the
-    baseline's ``counters`` section is an exact ceiling on its run.
+    baseline's ``counters`` section is an exact ceiling on its run, as
+    is every layer's bytecode count on a matching interpreter
+    (:func:`_check_bytecodes`).
     """
     failures: List[str] = []
     quick = current.get("mode") == "quick"
@@ -1056,6 +1236,7 @@ def check_against_baseline(
                     f"ceiling {ceilings[counter]:.4f} — more kernel work "
                     "per executed kernel"
                 )
+    failures.extend(_check_bytecodes(current, baseline))
     base_digests = baseline.get("digests", {})
     for key in sorted(set(base_digests) & set(current.get("digests", {}))):
         if current["digests"][key] != base_digests[key]:
@@ -1063,6 +1244,36 @@ def check_against_baseline(
                 f"digest drift for {key}: {current['digests'][key]} != "
                 f"{base_digests[key]} — determinism broken"
             )
+    return failures
+
+
+def _check_bytecodes(
+    current: Dict[str, Any], baseline: Dict[str, Any]
+) -> List[str]:
+    """Bytecode ceilings per run and layer, on a matching interpreter.
+
+    A layer missing from the baseline has a ceiling of zero.  On
+    another CPython version the counts are reported only.
+    """
+    base = baseline.get("bytecodes", {})
+    counted = current.get("bytecodes", {})
+    if base.get("python") != counted.get("python"):
+        return []
+    failures = []
+    base_runs = base.get("runs", {})
+    current_runs = counted.get("runs", {})
+    for run in sorted(set(base_runs) & set(current_runs)):
+        ceilings = base_runs[run]
+        layers = current_runs[run]["per_kernel"]
+        for layer in sorted(set(ceilings) | set(layers)):
+            value = layers.get(layer, 0.0)
+            ceiling = ceilings.get(layer, 0.0)
+            if value > ceiling:
+                failures.append(
+                    f"bytecodes per kernel on {run}, layer {layer}: "
+                    f"{value:.2f} exceeds ceiling {ceiling:.2f} — more "
+                    "interpreter work per executed kernel"
+                )
     return failures
 
 

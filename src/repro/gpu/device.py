@@ -124,6 +124,11 @@ class GpuDevice:
         self._compute_scale = spec.compute_scale
         self._kernel_overhead = spec.kernel_overhead
         self._record = self.tracer.record_pair
+        # Bound once: the serial engine passes these per kernel.
+        self._call_later = sim.call_later
+        self._pull = driver.pull
+        self._start_cb = self._start
+        self._finish_cb = self._finish
         if spec.streams > 1:
             # Processor-sharing residency books (see ``_step``): each
             # resident's remaining solo device-time, and its initial
@@ -141,7 +146,7 @@ class GpuDevice:
             self._timer = 0
             driver.pull(self._hand_off, self._eligible)
         else:
-            driver.pull(self._start)
+            driver.pull(self._start_cb)
 
     @property
     def queue_depth(self) -> int:
@@ -220,10 +225,10 @@ class GpuDevice:
         kernel.started_at = now
         if self.telemetry is not None:
             self._emit_kernel("kernel.started", kernel)
-        sim.call_later(
+        self._call_later(
             kernel.duration * self._compute_scale * self.clock_factor
             + self._kernel_overhead,
-            self._finish,
+            self._finish_cb,
             kernel,
         )
 
@@ -250,7 +255,7 @@ class GpuDevice:
         done = kernel.done
         kernel.done = None
         done.succeed(kernel)
-        kernel = self.driver.pull(self._start)
+        kernel = self._pull(self._start_cb)
         if kernel is None:
             return
         # ``_start(kernel)``, inlined: this runs once per kernel.
@@ -261,10 +266,10 @@ class GpuDevice:
         kernel.started_at = now
         if self.telemetry is not None:
             self._emit_kernel("kernel.started", kernel)
-        sim.call_later(
+        self._call_later(
             kernel.duration * self._compute_scale * self.clock_factor
             + self._kernel_overhead,
-            self._finish,
+            self._finish_cb,
             kernel,
         )
 

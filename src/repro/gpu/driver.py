@@ -76,6 +76,10 @@ class Driver:
         self._ranks: Dict[Any, float] = {}
         self._queued = 0
         self._current_stream: Optional[Any] = None
+        # The current stream's queue.  A pick never prunes the stream
+        # it chooses, so this stays the queue ``_queues`` maps the
+        # current stream to.
+        self._current_queue: Optional[Deque[Kernel]] = None
         # The idle device's start callback and eligibility predicate
         # (see ``pull``).
         self._idle_start: Optional[Callable[[Kernel], None]] = None
@@ -97,6 +101,9 @@ class Driver:
         self.kernels_flushed = 0
         # Set by Telemetry.attach(); emission is observation-only.
         self.telemetry = None
+        # Bound once: ``launch_after`` runs per kernel.
+        self._call_later = sim.call_later
+        self._submit_cb = self._submit
 
     # ------------------------------------------------------------------
     # Submission side (called by gang threads)
@@ -138,13 +145,12 @@ class Driver:
         would have taken.  This is the compiled session walker's path.
         """
         kernel = Kernel(self.sim, job_id, node_id, duration)
-        self.sim.call_later(delay, self._submit, kernel)
+        self._call_later(delay, self._submit_cb, kernel)
         return kernel
 
     def _submit(self, kernel: Kernel) -> None:
         """Queue ``kernel`` on its job's stream (or reject it) now."""
         job_id = kernel.job_id
-        node_id = kernel.node_id
         now = self.sim.now
         kernel.submitted_at = now
         seq = self.submission_counts.get(job_id, 0)
@@ -157,7 +163,7 @@ class Driver:
                 "kernel.submitted",
                 "driver",
                 job_id=job_id,
-                node_id=node_id,
+                node_id=kernel.node_id,
                 seq=seq,
                 queue_depth=self._queued,
             )
@@ -174,7 +180,7 @@ class Driver:
                     "kernel.rejected",
                     "driver",
                     job_id=job_id,
-                    node_id=node_id,
+                    node_id=kernel.node_id,
                     seq=seq,
                     reason="device_crashed",
                 )
@@ -184,7 +190,7 @@ class Driver:
             )
             return
         if self.launch_interceptor is not None:
-            fault = self.launch_interceptor(job_id, node_id)
+            fault = self.launch_interceptor(job_id, kernel.node_id)
             if fault is not None:
                 # Rejected at the driver boundary: the kernel never
                 # reaches a stream; its waiter sees the fault raised at
@@ -196,7 +202,7 @@ class Driver:
                         "kernel.rejected",
                         "driver",
                         job_id=job_id,
-                        node_id=node_id,
+                        node_id=kernel.node_id,
                         seq=seq,
                     )
                     sim_sanitizer.verify(self, guard, "kernel.rejected")
@@ -288,17 +294,17 @@ class Driver:
         """
         queued = self._queued
         if queued:
-            current = self._current_stream
-            queue = self._queues.get(current)
+            queue = self._current_queue
             if (
                 queue is not None
                 and len(queue) == queued
-                and (eligible is None or eligible(current))
+                and (eligible is None or eligible(self._current_stream))
             ):
                 # Only the current stream has work: the general pick
                 # would choose it with no RNG draw and no stream switch,
                 # and its cleanup would keep only this stream.  O(1).
                 if len(self._queues) > 12:
+                    current = self._current_stream
                     self._queues = {current: queue}
                     self._ranks = {current: self._ranks[current]}
                 self._queued = queued - 1
@@ -365,8 +371,10 @@ class Driver:
                 for job_id, rank in self._ranks.items()
                 if job_id in self._queues
             }
+        queue = self._queues[chosen]
+        self._current_queue = queue
         self._queued -= 1
-        return self._queues[chosen].popleft()
+        return queue.popleft()
 
     # ------------------------------------------------------------------
     # Introspection

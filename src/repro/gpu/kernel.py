@@ -53,7 +53,7 @@ class Kernel:
         duration: float,
         tag: Any = None,
     ):
-        if duration < 0:
+        if not duration >= 0.0:
             raise ValueError(f"kernel duration negative: {duration}")
         self.job_id = job_id
         self.node_id = node_id

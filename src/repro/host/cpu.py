@@ -39,7 +39,7 @@ class HostCpu:
         but the compute itself; a :class:`Request` queues only when
         every core is busy.
         """
-        if duration < 0:
+        if not duration >= 0.0:
             raise ValueError(f"negative CPU duration: {duration}")
         cores = self.cores
         if cores._in_use < cores.capacity:

@@ -340,7 +340,9 @@ class ModelServer:
         jitter = self.config.dispatch_jitter
         if jitter <= 0.0:
             return self.config.dispatch_latency
-        return self.config.dispatch_latency + self._dispatch_rng.uniform(0.0, jitter)
+        # ``uniform(0.0, jitter)`` without its frame: that computes
+        # ``0.0 + (jitter - 0.0) * random()``, the same float.
+        return self.config.dispatch_latency + jitter * self._dispatch_rng.random()
 
     def instrumentation_slowdown(self) -> float:
         """Per-node slowdown when the online cost profiler is attached."""

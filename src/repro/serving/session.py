@@ -63,9 +63,42 @@ class Session:
         self.job = job
         graph = job.graph
         if server.config.compiled:
-            self._compiled = graph.compiled(job.batch_size)
+            compiled = graph.compiled(job.batch_size)
+            self._compiled = compiled
             # Per-session dependency counters, indexed by node id.
-            self._remaining = list(self._compiled.num_parents)
+            self._remaining = list(compiled.num_parents)
+            # The compiled walker's state, resolved once per session
+            # (not once per gang thread): every field is constant for
+            # the session's lifetime.  ``instrumentation_slowdown`` is
+            # 0.0 unless online profiling is attached.
+            scheduler = server.scheduler
+            driver = server.driver
+            config = server.config
+            self._walker = (
+                job,
+                self.sim,
+                server,
+                scheduler,
+                scheduler.needs_yield,
+                scheduler.on_node_done,
+                compiled.is_gpu,
+                compiled.durations,
+                compiled.nodes,
+                compiled.children_ids,
+                compiled.num_nodes,
+                self._remaining,
+                server.instrumentation_slowdown(),
+                config.launch_latency,
+                config.online_profiling,
+                driver.launch,
+                driver.launch_after,
+                server.cpu.execute,
+                server.pool.try_fetch,
+                server.dispatch_delay,
+                self.sim.process,
+                job.job_id,
+                job.batch_size,
+            )
         else:
             self._compiled = None
             max_id = max(node.node_id for node in graph.nodes)
@@ -212,34 +245,34 @@ class Session:
         dispatch latency is drawn at the spawn and the process kicks
         off at that deadline (``Simulator.process(..., delay=)``).
         """
-        job = self.job
+        (
+            job,
+            sim,
+            server,
+            scheduler,
+            needs_yield,
+            on_node_done,
+            is_gpu,
+            durations,
+            nodes,
+            children_ids,
+            num_nodes,
+            remaining,
+            slowdown,
+            launch_latency,
+            online,
+            driver_launch,
+            launch_after,
+            cpu_execute,
+            try_fetch,
+            dispatch_delay,
+            process,
+            job_id,
+            batch,
+        ) = self._walker
         job.gang_threads_now += 1
         if job.gang_threads_now > job.gang_threads_peak:
             job.gang_threads_peak = job.gang_threads_now
-        sim = self.sim
-        compiled = self._compiled
-        server = self.server
-        scheduler = server.scheduler
-        needs_yield = scheduler.needs_yield
-        on_node_done = scheduler.on_node_done
-        is_gpu = compiled.is_gpu
-        durations = compiled.durations
-        nodes = compiled.nodes
-        children_ids = compiled.children_ids
-        num_nodes = compiled.num_nodes
-        remaining = self._remaining
-        # Constant per run: 0.0 unless online profiling is attached.
-        slowdown = server.instrumentation_slowdown()
-        launch_latency = server.config.launch_latency
-        online = server.config.online_profiling
-        driver_launch = server.driver.launch
-        launch_after = server.driver.launch_after
-        cpu_execute = server.cpu.execute
-        try_fetch = server.pool.try_fetch
-        dispatch_delay = server.dispatch_delay
-        process = sim.process
-        job_id = job.job_id
-        batch = job.batch_size
         try:
             queue = deque((start_id,))
             popleft = queue.popleft
@@ -314,7 +347,7 @@ class Session:
                 and job.gang_threads_now == 0
                 and not job.done.triggered
             ):
-                job.finished_at = self.sim.now
+                job.finished_at = sim.now
                 job.done.fail(self._abort_exception())
             if ticket is not None:
                 ticket.release()

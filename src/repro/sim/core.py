@@ -215,7 +215,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0.0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         # Flattened Event.__init__: a fresh timeout cannot already be
         # queued, so it inserts straight into the calendar.
@@ -297,7 +297,7 @@ class Process(Event):
             raise SimulationError(
                 f"process body must be a generator, got {type(generator)!r}"
             )
-        if delay < 0.0:
+        if not delay >= 0.0:
             raise SimulationError(f"negative process delay: {delay!r}")
         # Event.__init__ flattened, here and for the bootstrap: gang
         # threads make this a per-node path.

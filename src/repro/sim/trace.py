@@ -49,15 +49,21 @@ non-decreasing (every key of the serial engine) is merged as it
 stands; otherwise (overlapping streams of the multi-stream engine) the
 clipped spans are sorted first.  Either way the merged components, and
 so the builtin ``sum`` over their lengths, equal those of the
-module-level list functions bit for bit.
+module-level list functions bit for bit.  A window read of a device
+total whose starts and ends never decrease (the serial engine's)
+streams only the records from the window on: a live reader's trailing
+window costs the window, not the run.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, tee
-from operator import le
+from functools import partial
+from itertools import chain, islice, takewhile, tee
+from operator import gt, le
 from struct import calcsize
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -165,6 +171,13 @@ _CHUNK = 4096
 _SLOT = calcsize("P")
 
 
+def _non_decreasing(values: Iterable[float]) -> bool:
+    """Whether ``values`` never decrease, checked at C speed."""
+    values, following = tee(values)
+    next(following, None)
+    return all(map(le, values, following))
+
+
 class _Total:
     """A total key fed only by :meth:`IntervalTracer.record_pair`.
 
@@ -173,16 +186,24 @@ class _Total:
     and ``columns`` map an ordinal to the source key and its columns.
     The records of one source appear in its columns in the same order
     as in ``order``, so the n-th ordinal ``i`` in ``order`` names the
-    n-th record of source ``i``.  Readers keep nothing: each read
-    streams the order column once more.
+    n-th record of source ``i``.  A full read streams the order column
+    once more.  A window read near the end of the records
+    (:meth:`window`) reads only the records from just before the
+    window on, which needs the starts and the ends both non-decreasing
+    in record order; ``checked`` records have been verified so (-1
+    once a record broke it), and ``last`` is the last verified
+    record's ``(start, end)``, so a read verifies only the records
+    appended since.
     """
 
-    __slots__ = ("order", "sources", "columns")
+    __slots__ = ("order", "sources", "columns", "checked", "last")
 
     def __init__(self):
         self.order = array("I")
         self.sources: List[Any] = []
         self.columns: List[_Columns] = []
+        self.checked = 0
+        self.last: Tuple[float, float] = (0.0, 0.0)
 
     def stream(self, field: int) -> Iterator[Any]:
         """Column ``field`` (0 starts, 1 ends, 2 tags) of every record,
@@ -196,11 +217,84 @@ class _Total:
         pulls = [iter(columns[field]) for columns in self.columns]
         return map(next, map(pulls.__getitem__, self.order))
 
+    def tail(self, first: int) -> Tuple[Iterator[float], Iterator[float]]:
+        """Starts and ends of the records from index ``first`` on, in
+        record order, streamed at C speed.
+
+        The n-th record of source ``i`` counted from the end is its
+        n-th last column item, so only the sources' last items are
+        copied, never their whole columns.
+        """
+        if not first:
+            return self.stream(0), self.stream(1)
+        order = self.order[first:]
+        columns = self.columns
+        starts = {}
+        ends = {}
+        for i, count in Counter(order).items():
+            source_starts, source_ends, _tags = columns[i]
+            starts[i] = iter(source_starts[-count:])
+            ends[i] = iter(source_ends[-count:])
+        return (
+            map(next, map(starts.__getitem__, order)),
+            map(next, map(ends.__getitem__, order)),
+        )
+
     def ordered(self) -> bool:
         """Whether the starts are non-decreasing in record order."""
-        starts, following = tee(self.stream(0))
-        next(following, None)
-        return all(map(le, starts, following))
+        return _non_decreasing(self.stream(0))
+
+    def monotone(self) -> bool:
+        """Whether the starts and the ends are both non-decreasing in
+        record order.
+
+        Records verified by an earlier call are not read again, so
+        repeated reads of a growing total verify each record once.
+        """
+        checked = self.checked
+        n = len(self.order)
+        if checked < 0 or checked == n:
+            return checked == n
+        starts, ends = self.tail(checked)
+        if checked:
+            last_start, last_end = self.last
+            starts = chain((last_start,), starts)
+            ends = chain((last_end,), ends)
+        if not (_non_decreasing(starts) and _non_decreasing(ends)):
+            self.checked = -1
+            return False
+        # Record n - 1 is its source's last record.
+        source_starts, source_ends, _tags = self.columns[self.order[n - 1]]
+        self.last = (source_starts[-1], source_ends[-1])
+        self.checked = n
+        return True
+
+    def window(
+        self, lo: float, hi: float
+    ) -> Optional[Iterator[Tuple[float, float]]]:
+        """The spans that can meet ``[lo, hi)``, in record order, when
+        the total is :meth:`monotone` and at most half of its records
+        end after ``lo``; otherwise None.
+
+        With the ends non-decreasing, the records that end after
+        ``lo`` are the last ones in record order, and the last ones of
+        each source: one bisection per source counts them.  The
+        stream stops at the first start at or after ``hi``, since
+        every later record starts there too.  Neither cut drops a span
+        that ``_clipped`` would keep, so the union is the full read's,
+        bit for bit.
+        """
+        n = len(self.order)
+        after = sum(
+            len(ends) - bisect_right(ends, lo)
+            for _starts, ends, _tags in self.columns
+        )
+        # The count is only right for a monotone total: check that
+        # second, so a wide window costs no verification.
+        if after > n // 2 or not self.monotone():
+            return None
+        starts, ends = self.tail(n - after)
+        return zip(takewhile(partial(gt, hi), starts), ends)
 
     def materialize(self) -> _Columns:
         """Fresh ``(starts, ends, tags)`` columns of every record."""
@@ -420,10 +514,17 @@ class IntervalTracer:
 
         When the key's starts are non-decreasing (checked at C speed)
         the spans are merged as they stream; otherwise they are sorted
-        first.
+        first.  A window over a total whose starts and ends both never
+        decrease reads only the records from the window on
+        (:meth:`_Total.window`).
         """
         total = self._totals.get(key)
-        if total is None:
+        window = None if total is None or lo is None else total.window(lo, hi)
+        if window is not None:
+            # A monotone total's records from the window on.
+            ordered = True
+            spans = window
+        elif total is None:
             starts, ends, _tags = self.columns(key)
             ordered = all(map(le, starts, islice(starts, 1, None)))
             spans = zip(starts, ends)

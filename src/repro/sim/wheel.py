@@ -28,6 +28,11 @@ Layout
   ``t`` waits, the cache is invalidated instead and such events open a
   fresh bucket, which pops after every older same-time bucket.  A
   retired bucket never stays cached.
+* buckets are fresh lists — an insert that opens one builds ``[ev]``
+  (``succeed_many`` a copy of its batch), and a dispatched bucket is
+  dropped.  There is no free list: reusing a list cost a pop, an
+  append and a ``clear`` per bucket, more interpreter work than the
+  allocation CPython's own list free list serves.
 * pools — see :mod:`repro.sim.pool`.  The dispatch loop recycles exact
   ``Timeout``/``Event`` instances whose refcount proves the program
   holds no other reference, and every dispatched timed callback
@@ -131,7 +136,6 @@ def build_kernel(
     now = 0.0
     seq = 0  # bucket creation counter: same-t buckets pop in creation order
     times: List = []  # heap of (t, seq, bucket)
-    free: List[List] = []  # retired bucket lists, reused to avoid allocs
     cache_t = -1.0  # insertion cache: time of the last bucket touched
     cache_b: Optional[List] = None
     cursor_b: Optional[List] = None  # bucket partially consumed by step()
@@ -151,16 +155,11 @@ def build_kernel(
         if t == cache_t:
             cache_b.append(ev)
             return
-        # Truthiness check instead of try/pop: a raised IndexError costs
-        # ~1us, and workloads that park events (resources) can keep the
-        # freelist empty for long stretches.
-        b = free.pop() if free else []
-        b.append(ev)
+        b = [ev]
         cache_t = t
         cache_b = b
-        s = seq
-        seq = s + 1
-        heappush(times, (t, s, b))
+        heappush(times, (t, seq, b))
+        seq += 1
 
     def schedule_now(ev: Any) -> None:
         # insert(ev, now) with the body inlined: this is the succeed()/
@@ -170,13 +169,11 @@ def build_kernel(
         if t == cache_t:
             cache_b.append(ev)
             return
-        b = free.pop() if free else []
-        b.append(ev)
+        b = [ev]
         cache_t = t
         cache_b = b
-        s = seq
-        seq = s + 1
-        heappush(times, (t, s, b))
+        heappush(times, (t, seq, b))
+        seq += 1
 
     # The keyword-only defaults freeze never-rebound cells as argument
     # locals: LOAD_FAST instead of LOAD_DEREF on the hottest call in
@@ -189,7 +186,7 @@ def build_kernel(
         _t_pop: Any = t_pool.pop,
     ) -> Any:
         nonlocal seq, cache_t, cache_b
-        if delay < 0.0:
+        if not delay >= 0.0:  # NaN fails this test, not ``< 0.0``
             raise error_t(f"negative timeout delay: {delay!r}")
         if _t_pool:
             ev = _t_pop()
@@ -207,13 +204,11 @@ def build_kernel(
         if t == cache_t:
             cache_b.append(ev)
             return ev
-        b = free.pop() if free else []
-        b.append(ev)
+        b = [ev]
         cache_t = t
         cache_b = b
-        s = seq
-        seq = s + 1
-        heappush(times, (t, s, b))
+        heappush(times, (t, seq, b))
+        seq += 1
         return ev
 
     def call_later(
@@ -228,7 +223,7 @@ def build_kernel(
         # arithmetic and insertion path, so it takes exactly the
         # calendar position a timeout created here would.
         nonlocal seq, cache_t, cache_b
-        if delay < 0.0:
+        if not delay >= 0.0:  # NaN fails this test, not ``< 0.0``
             raise error_t(f"negative timeout delay: {delay!r}")
         if _c_pool:
             ev = _c_pop()
@@ -244,13 +239,11 @@ def build_kernel(
         if t == cache_t:
             cache_b.append(ev)
             return
-        b = free.pop() if free else []
-        b.append(ev)
+        b = [ev]
         cache_t = t
         cache_b = b
-        s = seq
-        seq = s + 1
-        heappush(times, (t, s, b))
+        heappush(times, (t, seq, b))
+        seq += 1
 
     def event() -> Any:
         if e_pool:
@@ -303,13 +296,11 @@ def build_kernel(
         if t == cache_t:
             cache_b.extend(evs)
             return evs
-        b = free.pop() if free else []
-        b.extend(evs)
+        b = evs[:]
         cache_t = t
         cache_b = b
-        s = seq
-        seq = s + 1
-        heappush(times, (t, s, b))
+        heappush(times, (t, seq, b))
+        seq += 1
         return evs
 
     def timeout_chain(
@@ -325,7 +316,7 @@ def build_kernel(
         """
         ds = list(delays)
         for d in ds:
-            if d < 0.0:
+            if not d >= 0.0:
                 raise error_t(f"negative timeout delay: {d!r}")
         t = now
         out = []
@@ -471,8 +462,6 @@ def build_kernel(
                 _dispatch_one(ev)
             if cache_b is b:
                 cache_t = -1.0
-            b.clear()
-            free.append(b)
             cursor_b = None
         limit = _INF if until is None else until
         # Hot-loop locals: every name below is read per event (or per
@@ -480,7 +469,6 @@ def build_kernel(
         # LOAD_GLOBAL for the duration of the run.  The mutable cells
         # (now, cache_t, cache_b, active_proc) stay nonlocal.
         times_l = times
-        free_l = free
         t_pool_l = t_pool
         e_pool_l = e_pool
         c_pool_l = c_pool
@@ -502,14 +490,12 @@ def build_kernel(
                 # Pop eagerly: the early exit below is rare (once per
                 # bounded run), so pushing the bucket back then is
                 # cheaper than peeking the heap top before every pop.
-                tup = pop(times_l)
-                t = tup[0]
+                t, s, b = pop(times_l)
                 if t > limit:
-                    push(times_l, tup)
+                    push(times_l, (t, s, b))
                     now = until
                     sim_l.now = until
                     return
-                b = tup[2]
                 now = t
                 sim_l.now = t
                 if times_l and times_l[0][0] == t:
@@ -637,8 +623,6 @@ def build_kernel(
                 active_proc = None
                 if cache_b is b:
                     cache_t = -1.0
-                b.clear()
-                free_l.append(b)
             if until is not None:
                 now = until
                 sim.now = until
@@ -680,8 +664,6 @@ def build_kernel(
                 cursor_b = None
                 if cache_b is b:
                     cache_t = -1.0
-                b.clear()
-                free.append(b)
 
     def peek() -> float:
         if cursor_b is not None:
@@ -740,7 +722,6 @@ def build_kernel(
             # unit of cost.
             "buckets": seq,
             "pending_buckets": len(times),
-            "free_buckets": len(free),
             "cursor_open": cursor_b is not None,
         }
         snapshot.update(pools.stats())

@@ -19,6 +19,7 @@ from repro.bench import (
     bench_resources,
     bench_tracer,
     check_against_baseline,
+    count_bytecodes,
     count_kernel_work,
     import_floor,
 )
@@ -168,6 +169,82 @@ class TestCountKernelWork:
         assert counted["trace_bytes_per_kernel"] == 28.0
 
 
+class TestBytecodeGate:
+    BASELINE = {
+        "bytecodes": {
+            "python": "3.11",
+            "runs": {"run-a": {"sim": 300.0, "gpu": 200.0}},
+        }
+    }
+
+    def current(self, python="3.11", **layers):
+        current = report()
+        current["bytecodes"] = {
+            "python": python,
+            "runs": {"run-a": {"kernels": 10, "per_kernel": layers}},
+        }
+        return current
+
+    def test_equal_or_lower_passes(self):
+        current = self.current(sim=300.0, gpu=150.0)
+        assert check_against_baseline(current, self.BASELINE) == []
+
+    def test_a_rise_names_the_run_and_the_layer(self):
+        current = self.current(sim=300.0, gpu=200.5)
+        failures = check_against_baseline(current, self.BASELINE)
+        assert len(failures) == 1
+        assert "run-a" in failures[0] and "layer gpu" in failures[0]
+
+    def test_a_new_layer_has_a_zero_ceiling(self):
+        current = self.current(sim=1.0, gpu=1.0, host=0.5)
+        failures = check_against_baseline(current, self.BASELINE)
+        assert len(failures) == 1 and "layer host" in failures[0]
+
+    def test_another_interpreter_is_reported_only(self):
+        current = self.current(python="3.12", sim=900.0, gpu=900.0)
+        assert check_against_baseline(current, self.BASELINE) == []
+
+
+class TestCountBytecodes:
+    def test_counts_the_window_only(self):
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        done = []
+
+        def kernel(_):
+            done.append(sim.now)
+
+        for i in range(10):
+            sim.call_later(float(i), kernel)
+        counted = count_bytecodes(sim, done.__len__, 4.5, 7.5)
+        # Kernels at t=5, 6 and 7 ran in the window.
+        assert counted["kernels"] == 3
+        assert done == [float(i) for i in range(8)]
+        layers = counted["per_kernel"]
+        assert layers["sim"] > 0
+        # ``kernel`` lives in this test module.
+        assert layers["python"] > 0
+        # Counting is exact: a second window of the same shape on a
+        # fresh simulator counts the same.
+        again = Simulator()
+        for i in range(10):
+            again.call_later(float(i), kernel)
+        assert count_bytecodes(again, done.__len__, 4.5, 7.5) == counted
+
+    def test_restores_the_previous_trace_function(self):
+        import sys
+
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        done = []
+        sim.call_later(0.5, done.append)
+        previous = sys.gettrace()
+        count_bytecodes(sim, done.__len__, 0.0, 1.0)
+        assert sys.gettrace() is previous
+
+
 class TestMicrobenchSmoke:
     def test_event_loop_rate_positive(self):
         rate = bench_event_loop(num_procs=2, events_per_proc=200)
@@ -245,6 +322,16 @@ class TestCommittedBaseline:
                 "buckets_per_kernel",
                 "trace_bytes_per_kernel",
             }
+
+    def test_bytecode_ceilings_cover_the_counter_runs(self):
+        baseline = self.baseline()
+        bytecodes = baseline["bytecodes"]
+        major, minor = bytecodes["python"].split(".")
+        assert int(major) == 3 and int(minor) >= 9
+        assert set(bytecodes["runs"]) == set(baseline["counters"])
+        for layers in bytecodes["runs"].values():
+            assert {"sim", "gpu", "serving", "core", "host"} <= set(layers)
+            assert all(value >= 0.0 for value in layers.values())
 
     def test_recovery_runs_have_digests(self):
         digests = self.baseline()["digests"]

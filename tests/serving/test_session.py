@@ -124,3 +124,50 @@ class TestOnlineProfiling:
         _, server, _ = run_job(tiny_graph)
         with pytest.raises(KeyError):
             server.observed_profile(tiny_graph.name, 100)
+
+
+class TestCompiledWalkerState:
+    @staticmethod
+    def branching_graph():
+        b = GraphBuilder("branchy")
+        root = b.add("root", "decode", 1e-6, 100)
+        branches = [
+            b.add(f"br{i}", "conv2d", 1e-4, 100, parents=[root]) for i in range(5)
+        ]
+        b.add("join", "elementwise", 1e-6, 100, parents=branches)
+        return b.build()
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_slowdown_is_resolved_once_per_session(self, monkeypatch, online):
+        """The walker's constant state is built with the session, not in
+        every gang thread it spawns."""
+        calls = []
+        original = ModelServer.instrumentation_slowdown
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ModelServer, "instrumentation_slowdown", counted)
+        graph = self.branching_graph()
+        config = ServerConfig(track_memory=False, online_profiling=online)
+        _, _, job = run_job(graph, config=config)
+        assert job.complete
+        # Four branches ran on spawned gang threads besides the session's.
+        assert job.gang_threads_peak >= 3
+        assert len(calls) == 1
+
+    def test_trace_equals_the_reference_walker(self):
+        """Same kernels, same bounds, same finish time (the job ids
+        differ: they come from one process-wide counter)."""
+        graph = self.branching_graph()
+        traces = []
+        for compiled in (True, False):
+            config = ServerConfig(track_memory=False, compiled=compiled, seed=4)
+            _, server, job = run_job(graph, config=config)
+            assert job.complete
+            starts, ends, tags = server.tracer.columns(job.job_id)
+            traces.append(
+                (list(starts), list(ends), list(tags), job.finished_at)
+            )
+        assert traces[0] == traces[1]

@@ -329,3 +329,65 @@ def test_streaming_readers_never_build_the_total_columns(run_length):
     assert peak - before < materialised / 4
     # Nothing per record outlives the reads.
     assert current - before < kernels
+
+
+def _end_windows(now):
+    """Windows a live reader takes: trailing ones, one past the end,
+    one cut short of the end, and one too wide for the window path."""
+    return [
+        (now - 0.05, now),
+        (now - 0.01, now + 1.0),
+        (now * 0.97, now * 0.99),
+        (now * 0.4, now),
+        (now, now),
+    ]
+
+
+def _assert_same_windows(tracer, reference, now):
+    for lo, hi in _end_windows(now):
+        assert tracer.duration_between("T", lo, hi) == (
+            reference.duration_between("T", lo, hi)
+        )
+        assert tracer.busy_fraction("T", lo, hi) == (
+            reference.busy_fraction("T", lo, hi)
+        )
+
+
+def test_end_windows_read_while_recording_match_store_twice():
+    """Telemetry's pattern: a trailing window read every so often as
+    the total grows.  Each read verifies only the records appended
+    since the last one, reads only the records from the window on, and
+    equals the store-twice tracer bit for bit."""
+    tracer, reference = IntervalTracer(), StoreTwice()
+    now = 0.0
+    for i in range(3000):
+        start = now + (i % 5) * 1e-4
+        now = start + 1e-3 * (1 + i % 3)
+        key = f"job{(i // 17) % 9}"
+        tracer.record_pair(key, i, "T", start, now)
+        reference.record_pair(key, i, "T", start, now)
+        if i % 97 == 96:
+            _assert_same_windows(tracer, reference, now)
+    total = tracer._totals["T"]
+    assert total.checked == tracer.count("T") - 3000 % 97
+    assert total.window(now - 0.05, now) is not None
+    assert total.window(now * 0.4, now) is None
+    assert_same_views(tracer, reference)
+
+
+def test_a_record_ending_earlier_turns_the_window_path_off():
+    tracer, reference = IntervalTracer(), StoreTwice()
+    ops = [("pair", "a", i, "T", i * 1.0, i * 1.0 + 0.5) for i in range(40)]
+    replay(tracer, ops)
+    replay(reference, ops)
+    _assert_same_windows(tracer, reference, 39.5)
+    assert tracer._totals["T"].checked == 40
+    # A long span recorded late: its end is before the last record's.
+    late = [("pair", "b", 0, "T", 30.2, 39.2), ("pair", "a", 40, "T", 40.0, 40.5)]
+    replay(tracer, late)
+    replay(reference, late)
+    _assert_same_windows(tracer, reference, 40.5)
+    total = tracer._totals["T"]
+    assert total.checked == -1
+    assert total.window(40.0, 40.5) is None
+    assert_same_views(tracer, reference)
